@@ -4,7 +4,7 @@ The package models two coupled spin ensembles — an optically accessible
 alkali vapor and a noble gas with an hours-long coherence time — whose weak
 spin-exchange coupling lets light drive and read out the noble-gas
 resonance. It provides the closed-form steady-state response, exact and
-numerical time-domain evolution, the waveform/estimation layer, and four
+numerical time-domain evolution, the waveform/estimation layer, and five
 end-to-end measurement protocols behind a CLI.
 
 All rates and frequencies follow a single convention described in
@@ -16,25 +16,22 @@ from .config import (Bundle, ScenarioConfig, config_from_mapping, load_config,
 from .dynamics import (Drive, ExciteResult, IntegrationError, Segment,
                        SidebandResponse, SpinState, SpinTrajectory,
                        TransientResult, evolve_exact, exact_linear_response,
-                       exchange_invariant, excite_and_readout,
-                       integrate_bloch, magnetic_pulse_transient, slow_mode,
-                       tilt_state)
+                       excite_and_readout, integrate_bloch,
+                       magnetic_pulse_transient, slow_mode, tilt_state)
 from .experiments import ScanResult, run_scenario
 from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     MagneticConfig, NoblelineError, OpticalParams,
                     SystemParams, TWO_PI, ValidityError, ValidityWarning,
                     build_system, compute_detunings, derive_exchange_rates,
                     derive_larmor, derive_optics, ideal_gas_density)
-from .signals import (FieldState, HarmonicFit, LineFit, LinearFit,
-                      SinusoidFit, fit_decaying_sinusoid,
-                      fit_inverted_lorentzian, fit_linear,
-                      heterodyne_extract, stokes_time_series,
+from .signals import (HarmonicFit, LineFit, LinearFit, SinusoidFit,
+                      fit_decaying_sinusoid, fit_inverted_lorentzian,
+                      fit_linear, heterodyne_extract, stokes_time_series,
                       synthesize_channel, time_grid)
 from .spectrum import (LineShape, S2Response, alkali_coherence,
-                       evaluate_spectrum, fx_readout_gain, hybrid_linewidth,
-                       line_center, line_shape, noble_coherence, phase_shift,
-                       power_transmission, s2_response, transmitted_ratio,
-                       write_spectrum_csv)
+                       evaluate_spectrum, hybrid_linewidth, line_center,
+                       line_shape, noble_coherence, phase_shift,
+                       power_transmission, s2_response, transmitted_ratio)
 
 try:
     from importlib.metadata import version as _version

@@ -79,7 +79,6 @@ _SCHEMAS = {
         "wavelength": _parse_float,      # nm; alternative to photon_energy
         "photon_energy": _parse_float,   # J
         "optical_depth": _parse_float,
-        "signal_ratio_db": _parse_float,
         "electron_radius": _parse_float,
         "tilt_coeff": _parse_float,
         "faraday_coeff": _parse_float,
@@ -166,7 +165,7 @@ class ScenarioConfig:
         if self.name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario name {self.name!r}; "
                               f"expected one of {SCENARIO_NAMES}")
-        if self.method not in ("closed_form", "demodulated", "dynamics"):
+        if self.method not in ("closed_form", "demodulated"):
             raise ConfigError(f"unknown scenario method {self.method!r}")
         if self.points < 5:
             raise ConfigError("scenario needs at least 5 grid points")
@@ -174,6 +173,17 @@ class ScenarioConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        for knob in ("pulse_efolds", "observe_efolds", "readout_cycles"):
+            if not getattr(self, knob) > 0:
+                raise ConfigError(f"{knob} must be positive")
+        if not 0 <= self.ramp_efolds < 0.5 * self.pulse_efolds:
+            raise ConfigError("ramp_efolds must be non-negative and below "
+                              "half of pulse_efolds")
+        if not self.dead_efolds >= 0:
+            raise ConfigError("dead_efolds must be non-negative")
+        for knob in ("signal_amplitude", "tilt_amplitude"):
+            if not abs(getattr(self, knob)) > 0:
+                raise ConfigError(f"{knob} must be nonzero")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ eigenmode solution used by the protocol runners.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -79,12 +78,6 @@ def tilt_state(amplitude: float, phase: float = 0.0) -> SpinState:
     """
     return SpinState(r_x=amplitude * math.cos(phase),
                      r_y=amplitude * math.sin(phase))
-
-
-def exchange_invariant(system: SystemParams, state: SpinState) -> float:
-    """J_b*|F|^2 + J_a*|R|^2, conserved under undamped, undriven evolution."""
-    return system.exchange_ba * (state.f_x**2 + state.f_y**2) \
-        + system.exchange_ab * (state.r_x**2 + state.r_y**2)
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,6 @@ class SpinTrajectory:
     def final_state(self) -> SpinState:
         return self.state_at(-1)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_COLUMNS)
-            for row in zip(self.times, self.f_x, self.f_y, self.r_x, self.r_y):
-                writer.writerow([repr(float(v)) for v in row])
-
 
 def bloch_rhs(t: float, y, system: SystemParams, drive: Drive):
     """Right-hand side of the coupled Bloch equations (scalar math)."""
@@ -186,10 +172,9 @@ def integrate_bloch(system: SystemParams, drive: Drive,
                     ) -> SpinTrajectory:
     """Numerically integrate the Bloch equations over t_span.
 
-    method: "rk45" or "dop853" (adaptive, dense output; scipy) or "rk4"
-    (fixed step, requires max_step as the step size; useful for convergence
-    studies). Sampling: explicit t_eval wins, else a uniform grid at
-    sample_rate, else the integrator's own steps.
+    method: "rk45" or "dop853" (adaptive, dense output; scipy). Sampling:
+    explicit t_eval wins, else a uniform grid at sample_rate, else the
+    integrator's own steps.
     """
     y0 = (initial or SpinState()).as_array()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -199,8 +184,6 @@ def integrate_bloch(system: SystemParams, drive: Drive,
         n = int(math.floor((t1 - t0) * sample_rate)) + 1
         t_eval = t0 + np.arange(n) / sample_rate
 
-    if method == "rk4":
-        return _integrate_rk4(system, drive, t0, t1, y0, max_step, t_eval)
     if method not in ("rk45", "dop853"):
         raise ValidityError(f"unknown integrator {method!r}")
 
@@ -220,44 +203,6 @@ def integrate_bloch(system: SystemParams, drive: Drive,
     t = sol.t
     return SpinTrajectory(times=t, f_x=sol.y[0], f_y=sol.y[1],
                           r_x=sol.y[2], r_y=sol.y[3], meta=meta)
-
-
-def _integrate_rk4(system, drive, t0, t1, y0, step, t_eval):
-    if not step or step <= 0:
-        raise ValidityError("rk4 needs max_step as its fixed step size")
-    n_steps = max(int(math.ceil((t1 - t0) / step)), 1)
-    h = (t1 - t0) / n_steps
-    y = np.asarray(y0, dtype=float)
-    ts = [t0]
-    ys = [y.copy()]
-    t = t0
-    rhs = lambda tt, yy: np.asarray(bloch_rhs(tt, yy, system, drive))
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"rk4 diverged at t = {t + h:.6g} s "
-                                   "(step too large for the fast mode?)",
-                                   last_time=t)
-        t += h
-        ts.append(t)
-        ys.append(y.copy())
-    ts = np.array(ts)
-    ys = np.array(ys)
-    if t_eval is not None:
-        # sample by cubic interpolation on the fixed grid
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(ts, ys, axis=0)
-        ys = spline(np.asarray(t_eval, dtype=float))
-        ts = np.asarray(t_eval, dtype=float)
-    meta = {"integrator": "rk4", "step": h,
-            "params_hash": system.params_hash()}
-    return SpinTrajectory(times=ts, f_x=ys[:, 0], f_y=ys[:, 1],
-                          r_x=ys[:, 2], r_y=ys[:, 3], meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +236,17 @@ class _Modes:
         d_plus = np.array([1j * TWO_PI * self.drive_coeff * amplitude / 2.0, 0.0])
         d_minus = np.array([1j * TWO_PI * self.drive_coeff
                             * np.conj(amplitude) / 2.0, 0.0])
-        eye = np.eye(2)
-        mat_plus = self.matrix + 1j * w * eye
-        mat_minus = self.matrix - 1j * w * eye
-        try:
-            # roundoff keeps an on-resonance shift from being exactly
-            # singular, so guard on conditioning as well
-            cond = max(np.linalg.cond(mat_plus), np.linalg.cond(mat_minus))
-            if not np.isfinite(cond) or cond > 1e12:
-                raise np.linalg.LinAlgError("ill-conditioned sideband solve")
-            u_plus = np.linalg.solve(mat_plus, -d_plus)
-            u_minus = np.linalg.solve(mat_minus, -d_minus)
-        except np.linalg.LinAlgError as exc:
+        # the shifted generators have eigenvalues lambda +- iW; roundoff keeps
+        # an on-resonance shift from being exactly singular, so test how
+        # close the nearest one comes to zero against the largest
+        gaps = np.abs(self.eigvals[:, np.newaxis] + 1j * w * np.array([1, -1]))
+        if not np.all(gaps.min(axis=0) > 1e-12 * gaps.max(axis=0)):
             raise ValidityError(
                 "drive frequency sits (numerically) on an undamped eigenmode;"
-                " the steady response is unbounded") from exc
+                " the steady response is unbounded")
+        eye = np.eye(2)
+        u_plus = np.linalg.solve(self.matrix + 1j * w * eye, -d_plus)
+        u_minus = np.linalg.solve(self.matrix - 1j * w * eye, -d_minus)
         return u_plus, u_minus
 
 

@@ -1,17 +1,13 @@
 """Scenario runners: full measurement protocols from config to output files.
 
 Every runner consumes a resolved :class:`~nobleline.config.Bundle`, draws all
-randomness from child streams of the scenario seed (stable across runs,
-platforms, and worker counts), and returns a :class:`ScanResult` whose
+randomness from child streams of the scenario seed (stable across runs
+and platforms), and returns a :class:`ScanResult` whose
 ``write`` method emits three files per scenario::
 
     <prefix>_points.csv        per-point data, fixed column order
     <prefix>_fit.json          fit reports and derived summary numbers
     <prefix>_provenance.json   resolved config + seed, reloadable as a run
-
-Set NOBLELINE_MAX_WORKERS to parallelize the calibration trials (thread
-pool; results are ordered by trial index, so outputs do not depend on the
-worker count).
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -31,8 +26,9 @@ from .dynamics import (TRAJECTORY_COLUMNS, excite_and_readout,
 from .model import ConfigError, TWO_PI, ValidityWarning, derive_larmor
 from .signals import (fit_decaying_sinusoid, fit_inverted_lorentzian,
                       fit_linear, heterodyne_extract, stokes_time_series)
-from .spectrum import (SPECTRUM_COLUMNS, evaluate_spectrum, line_shape,
-                       phase_shift, s2_response)
+from .spectrum import (SPECTRUM_COLUMNS, evaluate_spectrum, hybrid_linewidth,
+                       line_center, line_shape, phase_shift, s2_response,
+                       spectrum_row)
 
 EXCITE_COLUMNS = ("omega", "delta", "amplitude", "normalized_power")
 SWEEP_COLUMNS = ("field", "omega_b_bare", "line_center", "full_width",
@@ -49,15 +45,6 @@ def _package_version() -> str:
         return version("nobleline")
     except Exception:
         return "unknown"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("NOBLELINE_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(
-            f"NOBLELINE_MAX_WORKERS must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -156,23 +143,27 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     omegas = line.center + deltas
     rngs = _streams(sc.seed, len(omegas))
 
-    rows = evaluate_spectrum(omegas, system, bundle.optics,
-                             s2_in=sc.signal_amplitude)
     if sc.method == "demodulated":
         duration = sc.demod_periods / abs(line.center)
         fs = sc.samples_per_cycle * abs(line.center)
-        for row, rng in zip(rows, rngs):
-            resp = s2_response(row["omega"], system, bundle.optics,
+        rows = []
+        for omega, rng in zip(omegas.tolist(), rngs):
+            resp = s2_response(omega, system, bundle.optics,
                                s2_in=sc.signal_amplitude)
             t, s2_t, _ = stokes_time_series(
-                resp.s2_out, 1j * resp.s2_out, row["omega"], duration, fs,
+                resp.s2_out, 1j * resp.s2_out, omega, duration, fs,
                 noise_sigma=sc.noise_sigma, rng=rng if sc.noise_sigma else None)
-            fit = heterodyne_extract(t, s2_t, row["omega"])
+            fit = heterodyne_extract(t, s2_t, omega)
+            row = spectrum_row(omega, resp)
             row["transmission"] = (fit.amplitude / abs(sc.signal_amplitude))**2
             row["phase"] = fit.phase
-    elif sc.noise_sigma > 0:
-        for row, rng in zip(rows, rngs):
-            row["transmission"] += rng.normal(0.0, sc.noise_sigma)
+            rows.append(row)
+    else:
+        rows = evaluate_spectrum(omegas, system, bundle.optics,
+                                 s2_in=sc.signal_amplitude)
+        if sc.noise_sigma > 0:
+            for row, rng in zip(rows, rngs):
+                row["transmission"] += rng.normal(0.0, sc.noise_sigma)
 
     omega_arr = np.array([r["omega"] for r in rows])
     trans_arr = np.array([r["transmission"] for r in rows])
@@ -211,9 +202,8 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
     """
     sc = bundle.scenario
     system = bundle.system
-    center = line_shape(system, bundle.optics).center if bundle.optics \
-        else _pulled_center(system)
-    gamma = _width_at(system, center)
+    center = line_center(system)
+    gamma = hybrid_linewidth(system, center - system.omega_a)
     deltas = _detuning_grid(sc, gamma)
     omegas = center + deltas
     rngs = _streams(sc.seed, len(omegas))
@@ -250,18 +240,6 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
                       provenance=_provenance(bundle))
 
 
-def _pulled_center(system) -> float:
-    from .spectrum import line_center
-
-    return line_center(system)
-
-
-def _width_at(system, omega: float) -> float:
-    from .spectrum import hybrid_linewidth
-
-    return hybrid_linewidth(system, omega - system.omega_a)
-
-
 # ---------------------------------------------------------------------------
 # field sweep
 
@@ -285,8 +263,8 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
             warnings.simplefilter("ignore", ValidityWarning)
             omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
         system = replace(bundle.system, omega_a=omega_a, omega_b=omega_b)
-        center = _pulled_center(system)
-        gamma = _width_at(system, center)
+        center = line_center(system)
+        gamma = hybrid_linewidth(system, center - system.omega_a)
         contrast = (line_shape(system, bundle.optics).contrast
                     if bundle.optics is not None else math.nan)
         gamma_slow, freq_slow = slow_mode(system)
@@ -432,14 +410,7 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         }
 
     clean = one_trial(-1, None)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: one_trial(*job),
-                                 list(enumerate(rngs))))
-    else:
-        rows = [one_trial(i, rng) for i, rng in enumerate(rngs)]
+    rows = [one_trial(i, rng) for i, rng in enumerate(rngs)]
 
     slope_cov = float(np.mean([r["slope_covered"] for r in rows]))
     decay_cov = float(np.mean([r["decay_covered"] for r in rows]))

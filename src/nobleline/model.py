@@ -145,7 +145,6 @@ class OpticalParams:
     photon_energy: float      # J
     optical_depth: float      # on-resonance OD of the vapor
     electron_radius: float = ELECTRON_RADIUS  # cm
-    signal_ratio_db: float = -50.0            # signal power relative to control
     tilt_coeff: float | None = None       # abar, Hz per unit S3 (photon flux)
     faraday_coeff: float | None = None    # alpha, same units as the Stokes flux
     scattering_rate: float | None = None  # gamma'_a = alpha*abar/OD, Hz

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .model import TWO_PI, FitConvergenceError, ValidityError, ValidityWarning
 
@@ -25,51 +25,6 @@ MIN_SAMPLES_PER_CYCLE = 4.0
 
 #: minimum beat periods a demodulation window must span
 MIN_DEMOD_PERIODS = 3.0
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Monochromatic control beam plus signal sidebands at offset omega.
-
-    control is the (carrier-frame) control field; sigma_plus / sigma_minus
-    are the co- and counter-rotating circular components of the signal field
-    detuned by omega. Stokes amplitudes at the beat frequency follow as
-    spectral amplitudes in the package convention.
-    """
-
-    control: complex
-    sigma_plus: complex
-    sigma_minus: complex
-    omega: float
-
-    @classmethod
-    def at_entrance(cls, control: complex, signal: complex,
-                    omega: float) -> "FieldState":
-        """Entrance field: the signal occupies one circular component only.
-
-        With sigma_minus = 0 the beat Stokes amplitudes obey S3 = i*S2
-        identically, the configuration every scan here launches.
-        """
-        return cls(control=control, sigma_plus=signal, sigma_minus=0.0j,
-                   omega=omega)
-
-    @property
-    def s1_static(self) -> float:
-        """Static linear-polarization imbalance |Ec|^2 - (|E+|^2 + |E-|^2)."""
-        return abs(self.control) ** 2 - (abs(self.sigma_plus) ** 2
-                                         + abs(self.sigma_minus) ** 2)
-
-    @property
-    def s2(self) -> complex:
-        """Beat-note S2 spectral amplitude."""
-        return np.conj(self.control) * self.sigma_minus \
-            + self.control * np.conj(self.sigma_plus)
-
-    @property
-    def s3(self) -> complex:
-        """Beat-note S3 spectral amplitude."""
-        return 1j * (self.control * np.conj(self.sigma_plus)
-                     - np.conj(self.control) * self.sigma_minus)
 
 
 def time_grid(duration: float, sample_rate: float) -> np.ndarray:
@@ -113,7 +68,7 @@ def stokes_time_series(s2: complex, s3: complex, omega: float,
 def _t_quantile(dof: int) -> float:
     if dof < 1:
         return math.inf
-    return float(stats.t.ppf(0.5 * (1.0 + CONFIDENCE), dof))
+    return float(stdtrit(dof, 0.5 * (1.0 + CONFIDENCE)))
 
 
 def _ci(value: float, se: float, dof: int) -> tuple[float, float]:

@@ -17,7 +17,6 @@ All quantities follow the angular-Hz convention of :mod:`nobleline.model`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -182,7 +181,6 @@ class S2Response:
     s2_in: complex
     branch: str
     detunings: Detunings
-    line: LineShape
     f_tilde: complex
     r_tilde: complex
 
@@ -216,7 +214,6 @@ def s2_response(omega: float, system: SystemParams, optics: OpticalParams,
     s3_in = 1j * s2_in
     f_t = alkali_coherence(s3_in, omega, system)
     r_t = noble_coherence(s3_in, omega, system)
-    line = line_shape(system, optics)
     if abs(d.delta_a) >= FAR_DETUNED_RATIO * system.gamma_a:
         branch = "far"
         gamma = hybrid_linewidth(system, d.delta_a)
@@ -230,53 +227,32 @@ def s2_response(omega: float, system: SystemParams, optics: OpticalParams,
         branch = "general"
         s2_out = s2_in + 0.5 * optics.faraday_coeff * f_t
     return S2Response(s2_out=s2_out, s2_in=s2_in, branch=branch, detunings=d,
-                      line=line, f_tilde=f_t, r_tilde=r_t)
-
-
-def fx_readout_gain(system: SystemParams) -> tuple[float, float]:
-    """Slaved-alkali readout gain and phase lag sine for noble precession.
-
-    While the noble-gas spin precesses freely, the alkali transverse spin
-    follows it with amplitude ratio J_a/sqrt((omega_a - omega_b)^2 + gamma_a^2)
-    and lags by psi with sin(psi) = gamma_a/sqrt(same). Returns
-    (gain, sin_psi).
-    """
-    root = math.hypot(system.omega_a - system.omega_b, system.gamma_a)
-    if root == 0.0:
-        raise ValidityError("degenerate undamped resonances: readout gain undefined")
-    return system.exchange_ab / root, system.gamma_a / root
+                      f_tilde=f_t, r_tilde=r_t)
 
 
 SPECTRUM_COLUMNS = ("omega", "delta", "transmission", "phase",
                     "re_f", "im_f", "re_r", "im_r")
 
 
+def spectrum_row(omega: float, resp: S2Response) -> dict:
+    """One spectrum row, keyed by SPECTRUM_COLUMNS, from the response at omega.
+
+    The row carries the drive frequency, pulled detuning, power
+    transmission, lock-in phase, and the complex coherence amplitudes.
+    """
+    return {
+        "omega": omega,
+        "delta": resp.detunings.delta_hybrid,
+        "transmission": resp.transmission,
+        "phase": resp.phase,
+        "re_f": resp.f_tilde.real, "im_f": resp.f_tilde.imag,
+        "re_r": resp.r_tilde.real, "im_r": resp.r_tilde.imag,
+    }
+
+
 def evaluate_spectrum(omegas, system: SystemParams, optics: OpticalParams,
                       s2_in: complex = 1.0 + 0.0j) -> list[dict]:
-    """Closed-form spectrum rows over a frequency grid.
-
-    Each row carries the drive frequency, pulled detuning, power
-    transmission, lock-in phase, and the complex coherence amplitudes,
-    keyed by SPECTRUM_COLUMNS.
-    """
-    rows = []
-    for omega in omegas:
-        resp = s2_response(float(omega), system, optics, s2_in)
-        rows.append({
-            "omega": float(omega),
-            "delta": resp.detunings.delta_hybrid,
-            "transmission": resp.transmission,
-            "phase": resp.phase,
-            "re_f": resp.f_tilde.real, "im_f": resp.f_tilde.imag,
-            "re_r": resp.r_tilde.real, "im_r": resp.r_tilde.imag,
-        })
-    return rows
-
-
-def write_spectrum_csv(path, rows) -> None:
-    """Write spectrum rows as CSV with the fixed SPECTRUM_COLUMNS header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPECTRUM_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row[c]) for c in SPECTRUM_COLUMNS])
+    """Closed-form spectrum rows (see spectrum_row) over a frequency grid."""
+    return [spectrum_row(float(omega),
+                         s2_response(float(omega), system, optics, s2_in))
+            for omega in omegas]

@@ -133,3 +133,27 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     assert "locked" in capsys.readouterr().err
     # stale lock is left for the operator to inspect/remove
     assert (tmp_path / "transient.lock").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("spectrum", "method", "dynamics"),
+    ("excite", "ramp_efolds", "-0.1"),
+    ("excite", "ramp_efolds", "2.0"),
+    ("excite", "pulse_efolds", "0"),
+    ("transient", "observe_efolds", "-1"),
+    ("excite", "readout_cycles", "0"),
+    ("excite", "dead_efolds", "-1"),
+    ("excite", "signal_amplitude", "0"),
+    ("sweep-field", "tilt_amplitude", "0"),
+])
+def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
+                                        value):
+    sections = {**FAST_SYSTEM, "scenario": {key: value}}
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()

@@ -151,22 +151,6 @@ def test_calibration_noiseless_recovery_and_coverage(preset_bundle):
     assert res.extras["mean_decay"] == pytest.approx(gamma, rel=1e-2)
 
 
-def test_calibration_parallel_rows_identical(preset_bundle, monkeypatch):
-    bundle = with_scenario(preset_bundle, trials=6, seed=5,
-                           samples_per_cycle=16.0)
-    serial = run_calibration(bundle)
-    monkeypatch.setenv("NOBLELINE_MAX_WORKERS", "3")
-    parallel = run_calibration(bundle)
-    assert serial.rows == parallel.rows
-
-
-def test_calibration_rejects_bad_worker_env(preset_bundle, monkeypatch):
-    monkeypatch.setenv("NOBLELINE_MAX_WORKERS", "many")
-    bundle = with_scenario(preset_bundle, trials=2, samples_per_cycle=16.0)
-    with pytest.raises(ConfigError):
-        run_calibration(bundle)
-
-
 def test_run_scenario_dispatch(preset_bundle):
     res = run_scenario(with_scenario(preset_bundle, observe_efolds=1.0),
                        "transient")
