@@ -173,6 +173,8 @@ class ScenarioConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if len(set(self.fields)) != len(self.fields):
+            raise ConfigError("fields must be distinct")
         for knob in ("pulse_efolds", "observe_efolds", "readout_cycles"):
             if not getattr(self, knob) > 0:
                 raise ConfigError(f"{knob} must be positive")

@@ -16,7 +16,9 @@ Equivalently, with f = F_x + i F_y and r = R_x + i R_y,
 
 which contains no conjugate coupling; the two drive sidebands therefore
 evolve independently, and piecewise-harmonic drives admit an exact
-eigenmode solution used by the protocol runners.
+eigenmode solution (evolve_exact), the only engine the protocol runners
+use. The adaptive integrator (integrate_bloch) is kept as an independent
+reference for checking it.
 """
 
 from __future__ import annotations
@@ -171,6 +173,9 @@ def integrate_bloch(system: SystemParams, drive: Drive,
                     t_eval=None, sample_rate: float | None = None
                     ) -> SpinTrajectory:
     """Numerically integrate the Bloch equations over t_span.
+
+    Independent of the eigenmode solution, and far slower for mHz lines; it
+    serves as the reference the exact engine is checked against.
 
     method: "rk45" or "dop853" (adaptive, dense output; scipy). Sampling:
     explicit t_eval wins, else a uniform grid at sample_rate, else the
@@ -386,35 +391,17 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
                           omega: float) -> SidebandResponse:
     """Steady-state response to S3(t) = Re[s3_amplitude e^{-2 pi i omega t}].
 
-    Solves the full 4x4 sideband system (both rotating directions, no
-    rotating-wave approximation); the two 2x2 blocks are decoupled because
-    the complex-coherence equations contain no conjugate terms. Raises
-    ValidityError when the drive sits on an undamped eigenmode (singular
-    block).
+    Both rotating directions, no rotating-wave approximation: this is the
+    harmonic particular solution the exact engine superposes in every
+    driven segment, rescaled to the SidebandResponse normalization. Raises
+    ValidityError when the drive sits on an undamped eigenmode.
     """
-    ga, gb = system.gamma_a, system.gamma_b
-    wa, wb = system.omega_a, system.omega_b
-    ja, jb = system.exchange_ab, system.exchange_ba
-    rhs_plus = 1j * system.drive_coeff * s3_amplitude
-    rhs_minus = 1j * system.drive_coeff * np.conj(s3_amplitude)
-    a = np.zeros((4, 4), dtype=complex)
-    a[0, 0] = ga - 1j * (omega - wa)
-    a[0, 1] = -1j * ja
-    a[1, 0] = -1j * jb
-    a[1, 1] = gb - 1j * (omega - wb)
-    a[2, 2] = ga + 1j * (omega + wa)
-    a[2, 3] = -1j * ja
-    a[3, 2] = -1j * jb
-    a[3, 3] = gb + 1j * (omega + wb)
-    b = np.array([rhs_plus, 0.0, rhs_minus, 0.0], dtype=complex)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e15:
-        raise ValidityError("sideband system is singular: undamped resonance "
-                            "driven exactly on an eigenmode")
-    x = np.linalg.solve(a, b)
-    return SidebandResponse(omega=omega, f_plus=complex(x[0]),
-                            r_plus=complex(x[1]), f_minus=complex(x[2]),
-                            r_minus=complex(x[3]))
+    u_plus, u_minus = _Modes(system).particular(s3_amplitude, omega)
+    f_plus, r_plus = 2.0 * u_plus
+    f_minus, r_minus = 2.0 * u_minus
+    return SidebandResponse(omega=omega, f_plus=complex(f_plus),
+                            r_plus=complex(r_plus), f_minus=complex(f_minus),
+                            r_minus=complex(r_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +426,7 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
                        pulse_efolds: float = 3.0, ramp: float = 0.0,
                        dead_efolds: float = 6.0,
                        readout_cycles: float = 3.0,
-                       sample_rate: float | None = None,
-                       engine: str = "exact", rtol: float = 1e-9
-                       ) -> ExciteResult:
+                       sample_rate: float | None = None) -> ExciteResult:
     """Drive the hybrid line, wait out the alkali transient, read |R|.
 
     The pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma)
@@ -451,9 +436,6 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
     down; the remaining slow decay over it is common to every frequency in
     a scan and divides out on normalization. The readout trajectory covers
     readout_cycles of the slaved precession for downstream demodulation.
-
-    engine "exact" (piecewise eigenmode solution; default) or "rk"
-    (adaptive integration, much slower for mHz lines).
     """
     if omega is None:
         omega = line_center(system)
@@ -467,37 +449,20 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
     if sample_rate is None:
         sample_rate = 32.0 * freq_scale
 
-    if engine == "exact":
-        segments = [Segment(duration=pulse, amplitude=s3_amplitude,
-                            omega=omega, ramp=ramp)]
-        if dead > 0:
-            segments.append(Segment(duration=dead))
-        pre = evolve_exact(system, segments, SpinState())
-        start = pre.final_state
-        tail = evolve_exact(system, [Segment(duration=read)], start,
-                            sample_rate=sample_rate)
-        tail.times = tail.times + pulse + dead
-        traj = tail
-        r_end = start.r
-    elif engine == "rk":
-        drive = Drive(kind="pulse", amplitude=s3_amplitude, omega=omega,
-                      t_on=0.0, t_off=pulse, ramp=ramp)
-        pre = integrate_bloch(system, drive, (0.0, pulse + dead), rtol=rtol,
-                              t_eval=np.array([pulse + dead]))
-        start = pre.final_state
-        traj = integrate_bloch(system, Drive(), (pulse + dead,
-                                                 pulse + dead + read),
-                               initial=start, rtol=rtol,
-                               sample_rate=sample_rate)
-        r_end = start.r
-    else:
-        raise ValidityError(f"unknown engine {engine!r}")
+    segments = [Segment(duration=pulse, amplitude=s3_amplitude, omega=omega,
+                        ramp=ramp)]
+    if dead > 0:
+        segments.append(Segment(duration=dead))
+    start = evolve_exact(system, segments, SpinState()).final_state
+    traj = evolve_exact(system, [Segment(duration=read)], start,
+                        sample_rate=sample_rate)
+    traj.times = traj.times + pulse + dead
 
     return ExciteResult(
-        omega=omega, amplitude=abs(r_end), r_end=r_end,
+        omega=omega, amplitude=abs(start.r), r_end=start.r,
         pulse_duration=pulse, dead_time=dead, trajectory=traj,
-        meta={"engine": engine, "pulse_efolds": pulse_efolds,
-              "dead_efolds": dead_efolds, "gamma": gamma})
+        meta={"pulse_efolds": pulse_efolds, "dead_efolds": dead_efolds,
+              "gamma": gamma})
 
 
 @dataclass(frozen=True)
@@ -513,31 +478,31 @@ class TransientResult:
 
 def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
                              observe_efolds: float = 2.0,
-                             sample_rate: float | None = None,
-                             engine: str = "exact", rtol: float = 1e-9
+                             samples_per_cycle: float = 32.0,
+                             noise_sigma: float = 0.0,
+                             rng: np.random.Generator | None = None
                              ) -> TransientResult:
     """Tilt the noble-gas spin, record free precession, fit rate and frequency.
 
     The tilt is modeled as instantaneous (see tilt_state). The record spans
-    observe_efolds of the predicted slow decay; the decaying-sinusoid fit on
-    R_x then measures the hybridized linewidth without any optical drive.
+    observe_efolds of the predicted slow decay, sampled at samples_per_cycle
+    per slow-mode cycle (or e-fold, if that is shorter); white noise of
+    noise_sigma, drawn from rng, is added to the stored R_x. The
+    decaying-sinusoid fit on R_x then measures the hybridized linewidth
+    without any optical drive.
     """
     gamma_slow, freq_slow = slow_mode(system)
     if gamma_slow <= 0:
         raise ValidityError("undamped slow mode: transient never decays")
+    if noise_sigma and rng is None:
+        raise ValidityError("noise requested without an rng")
     duration = observe_efolds / (TWO_PI * gamma_slow)
-    if sample_rate is None:
-        sample_rate = 32.0 * max(abs(freq_slow), gamma_slow)
-    initial = tilt_state(tilt_amplitude)
-    if engine == "exact":
-        traj = evolve_exact(system, [Segment(duration=duration)], initial,
-                            sample_rate=sample_rate)
-    elif engine == "rk":
-        traj = integrate_bloch(system, Drive(), (0.0, duration),
-                               initial=initial, rtol=rtol,
-                               sample_rate=sample_rate)
-    else:
-        raise ValidityError(f"unknown engine {engine!r}")
+    sample_rate = samples_per_cycle * max(abs(freq_slow), gamma_slow)
+    traj = evolve_exact(system, [Segment(duration=duration)],
+                        tilt_state(tilt_amplitude), sample_rate=sample_rate)
+    if noise_sigma:
+        traj.r_x = traj.r_x + rng.normal(0.0, noise_sigma,
+                                         size=traj.r_x.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         fit = fit_decaying_sinusoid(traj.times, traj.r_x)

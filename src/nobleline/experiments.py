@@ -12,6 +12,7 @@ and platforms), and returns a :class:`ScanResult` whose
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import Bundle, provenance_mapping, scenario_with
 from .dynamics import (TRAJECTORY_COLUMNS, excite_and_readout,
-                       magnetic_pulse_transient, slow_mode)
+                       magnetic_pulse_transient)
 from .model import ConfigError, TWO_PI, ValidityWarning, derive_larmor
 from .signals import (fit_decaying_sinusoid, fit_inverted_lorentzian,
                       fit_linear, heterodyne_extract, stokes_time_series)
@@ -64,25 +65,39 @@ class ScanResult:
         paths = []
 
         points = os.path.join(outdir, f"{prefix}_points.csv")
-        with open(points, "w", newline="") as fh:
+        with _replacing(points) as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
                 fh.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
         paths.append(points)
 
         fitp = os.path.join(outdir, f"{prefix}_fit.json")
-        with open(fitp, "w") as fh:
+        with _replacing(fitp) as fh:
             json.dump({"scenario": self.name, "fits": self.fits,
                        "extras": self.extras}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         paths.append(fitp)
 
         provp = os.path.join(outdir, f"{prefix}_provenance.json")
-        with open(provp, "w") as fh:
+        with _replacing(provp) as fh:
             json.dump(self.provenance, fh, indent=2, sort_keys=True)
             fh.write("\n")
         paths.append(provp)
         return paths
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Open a temporary sibling of path for writing and rename it over path
+    on success, so a failure never leaves a partial file under that name."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cell(value) -> str:
@@ -208,14 +223,22 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
     omegas = center + deltas
     rngs = _streams(sc.seed, len(omegas))
     ramp = sc.ramp_efolds / (TWO_PI * gamma)
+    # each pulse is sized by the width at its own grid point, so both edges
+    # must fit inside the pulse of the widest point
+    widest = max(hybrid_linewidth(system, omega - system.omega_a)
+                 for omega in omegas.tolist())
+    if widest > 0 and 2.0 * ramp > sc.pulse_efolds / (TWO_PI * widest):
+        raise ConfigError(
+            f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into the "
+            f"shortest pulse of the scan; keep it at or below "
+            f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
 
     rows = []
     for omega, rng in zip(omegas, rngs):
         res = excite_and_readout(
             system, float(omega), s3_amplitude=sc.signal_amplitude,
             pulse_efolds=sc.pulse_efolds, ramp=ramp,
-            dead_efolds=sc.dead_efolds, readout_cycles=sc.readout_cycles,
-            sample_rate=None, engine="exact")
+            dead_efolds=sc.dead_efolds, readout_cycles=sc.readout_cycles)
         amp = res.amplitude
         if sc.noise_sigma > 0:
             amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
@@ -259,26 +282,17 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 
     rows = []
     for b_field, rng in zip(sc.fields, rngs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
+        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
         system = replace(bundle.system, omega_a=omega_a, omega_b=omega_b)
         center = line_center(system)
         gamma = hybrid_linewidth(system, center - system.omega_a)
         contrast = (line_shape(system, bundle.optics).contrast
                     if bundle.optics is not None else math.nan)
-        gamma_slow, freq_slow = slow_mode(system)
-        sample_rate = sc.samples_per_cycle * max(abs(freq_slow), gamma_slow)
-        res = magnetic_pulse_transient(
+        fit = magnetic_pulse_transient(
             system, tilt_amplitude=sc.tilt_amplitude,
-            observe_efolds=sc.observe_efolds, sample_rate=sample_rate)
-        fit = res.fit
-        if sc.noise_sigma > 0:
-            noisy = res.trajectory.r_x + rng.normal(
-                0.0, sc.noise_sigma, size=res.trajectory.r_x.shape)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                fit = fit_decaying_sinusoid(res.trajectory.times, noisy)
+            observe_efolds=sc.observe_efolds,
+            samples_per_cycle=sc.samples_per_cycle,
+            noise_sigma=sc.noise_sigma, rng=rng).fit
         rows.append({
             "field": float(b_field), "omega_b_bare": omega_b,
             "line_center": center, "full_width": 2.0 * gamma,
@@ -315,22 +329,13 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 def run_transient(bundle: Bundle) -> ScanResult:
     """One tilt-pulse free-precession record with its decaying-sinusoid fit."""
     sc = bundle.scenario
-    system = bundle.system
-    gamma_slow, freq_slow = slow_mode(system)
-    sample_rate = sc.samples_per_cycle * max(abs(freq_slow), gamma_slow)
-    res = magnetic_pulse_transient(system, tilt_amplitude=sc.tilt_amplitude,
-                                   observe_efolds=sc.observe_efolds,
-                                   sample_rate=sample_rate)
+    res = magnetic_pulse_transient(
+        bundle.system, tilt_amplitude=sc.tilt_amplitude,
+        observe_efolds=sc.observe_efolds,
+        samples_per_cycle=sc.samples_per_cycle, noise_sigma=sc.noise_sigma,
+        rng=_streams(sc.seed, 1)[0])
     traj = res.trajectory
     fit = res.fit
-    if sc.noise_sigma > 0:
-        rng = _streams(sc.seed, 1)[0]
-        noisy = traj.r_x + rng.normal(0.0, sc.noise_sigma,
-                                      size=traj.r_x.shape)
-        traj.r_x = noisy
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            fit = fit_decaying_sinusoid(traj.times, noisy)
 
     rows = [{"t": t, "f_x": fx, "f_y": fy, "r_x": rx, "r_y": ry}
             for t, fx, fy, rx, ry in zip(traj.times, traj.f_x, traj.f_y,

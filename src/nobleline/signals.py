@@ -236,17 +236,21 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
     dof = n - 4
     r = resid(sol.x)
     sigma2 = float(r @ r) / dof if dof > 0 else 0.0
+    # a zero residual would make the interval tests below vacuous (flat
+    # input fits a 1e-17 dip exactly), so they assume at least roundoff noise
+    floor2 = max(sigma2, (np.finfo(float).eps * float(np.max(np.abs(y))))**2)
     jtj = jac(sol.x)
     try:
-        cov = sigma2 * np.linalg.inv(jtj.T @ jtj)
-        ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        unscaled = np.linalg.inv(jtj.T @ jtj)
+        ses = np.sqrt(np.clip(np.diag(sigma2 * unscaled), 0.0, None))
+        ses_test = np.sqrt(np.clip(np.diag(floor2 * unscaled), 0.0, None))
     except np.linalg.LinAlgError:
-        ses = np.full(4, np.inf)
+        ses = ses_test = np.full(4, np.inf)
     span = float(x.max() - x.min())
     tq = _t_quantile(dof)
-    degenerate = bool(g > span or not np.isfinite(ses[1])
-                      or tq * ses[1] > abs(g)      # width CI swallows width
-                      or tq * ses[2] >= abs(c))    # contrast CI touches zero
+    degenerate = bool(g > span or not np.isfinite(ses_test[1])
+                      or tq * ses_test[1] > abs(g)    # width CI swallows width
+                      or tq * ses_test[2] >= abs(c))  # contrast CI touches zero
     return LineFit(
         center=x0, half_width=g, contrast=c, baseline=b,
         center_ci=_ci(x0, float(ses[0]), dof),

@@ -7,6 +7,7 @@ import pytest
 
 from nobleline.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_VALIDITY,
                            main)
+from nobleline.config import preset_path
 from nobleline.model import FitConvergenceError
 
 FAST_SYSTEM = {
@@ -145,6 +146,7 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     ("excite", "dead_efolds", "-1"),
     ("excite", "signal_amplitude", "0"),
     ("sweep-field", "tilt_amplitude", "0"),
+    ("sweep-field", "fields", "5 5 5"),
 ])
 def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
                                         value):
@@ -157,3 +159,22 @@ def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
     assert err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_ramp_too_long_for_the_widest_grid_point_exits_config(tmp_path,
+                                                              capsys):
+    # passes the load-time check against line center, but the pulses above
+    # center are shorter than two such ramps
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read(preset_path())
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    sections["scenario"]["ramp_efolds"] = "1.49999"
+    code = main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "ramp_efolds" in err

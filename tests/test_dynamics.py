@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nobleline.dynamics import (Drive, Segment, SidebandResponse, SpinState,
                                 evolve_exact, exact_linear_response,
@@ -207,17 +209,22 @@ def test_slow_mode_reference(preset_system):
 
 
 def test_excite_and_readout_engines_agree():
+    # the adaptive integrator driven by the same gated pulse is the reference
     sys = fast_system()
     omega = line_center(sys)
-    kw = dict(s3_amplitude=1.0 + 0.0j, pulse_efolds=2.0, dead_efolds=4.0,
-              readout_cycles=2.0, sample_rate=512.0)
-    exact = excite_and_readout(sys, omega, engine="exact", **kw)
-    rk = excite_and_readout(sys, omega, engine="rk", rtol=1e-11, **kw)
-    assert exact.amplitude == pytest.approx(rk.amplitude, rel=1e-6)
-    assert exact.r_end == pytest.approx(rk.r_end, rel=1e-5)
-    assert exact.pulse_duration == rk.pulse_duration
+    exact = excite_and_readout(sys, omega, s3_amplitude=1.0 + 0.0j,
+                               pulse_efolds=2.0, dead_efolds=4.0,
+                               readout_cycles=2.0, sample_rate=512.0)
+    start = exact.pulse_duration + exact.dead_time
+    drive = Drive(kind="pulse", amplitude=1.0 + 0.0j, omega=omega, t_on=0.0,
+                  t_off=exact.pulse_duration)
+    rk = integrate_bloch(sys, drive, (0.0, start), rtol=1e-11,
+                         t_eval=np.array([start]))
+    r_end = rk.final_state.r
+    assert exact.amplitude == pytest.approx(abs(r_end), rel=1e-6)
+    assert exact.r_end == pytest.approx(r_end, rel=1e-5)
     # readout trajectory continues from the pulse+dead interval
-    assert exact.trajectory.times[0] >= exact.pulse_duration + exact.dead_time
+    assert exact.trajectory.times[0] >= start
 
 
 def test_excite_defaults_to_line_center(preset_system):
@@ -225,8 +232,6 @@ def test_excite_defaults_to_line_center(preset_system):
                              dead_efolds=2.0, readout_cycles=1.0)
     assert res.omega == pytest.approx(line_center(preset_system), rel=1e-12)
     assert res.amplitude > 0
-    with pytest.raises(ValidityError):
-        excite_and_readout(preset_system, engine="verlet")
 
 
 def test_magnetic_pulse_transient_recovers_slow_mode(preset_system):
@@ -241,3 +246,38 @@ def test_magnetic_pulse_transient_recovers_slow_mode(preset_system):
                                     observe_efolds=2.0)
     assert res2.fit.amplitude == pytest.approx(2 * res.fit.amplitude,
                                                rel=1e-9)
+
+
+def test_magnetic_pulse_transient_fits_the_noisy_record(preset_system):
+    with pytest.raises(ValidityError):
+        magnetic_pulse_transient(preset_system, noise_sigma=0.01)
+    clean = magnetic_pulse_transient(preset_system, observe_efolds=1.0)
+    noisy = magnetic_pulse_transient(preset_system, observe_efolds=1.0,
+                                     noise_sigma=0.01,
+                                     rng=np.random.default_rng(7))
+    # the noise lands on the stored R_x only, and the one fit runs on it
+    assert np.array_equal(noisy.trajectory.r_y, clean.trajectory.r_y)
+    assert noisy.fit.residual_rms == pytest.approx(0.01, rel=0.05)
+    assert noisy.fit.decay_rate == pytest.approx(clean.fit.decay_rate,
+                                                 rel=0.05)
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega_a=st.floats(1000.0, 5000.0), omega_b=st.floats(20.0, 100.0),
+       gamma_a=st.floats(5.0, 30.0), gamma_b=st.floats(0.5, 5.0),
+       j=st.floats(1.0, 15.0), ratio=st.floats(0.5, 2.0),
+       detuning=st.floats(-5.0, 5.0), phase=st.floats(-math.pi, math.pi))
+def test_exact_linear_response_within_rotating_wave_bound(
+        omega_a, omega_b, gamma_a, gamma_b, j, ratio, detuning, phase):
+    # perturbative systems: the exact co-rotating amplitudes differ from the
+    # rotating-frame formulas by at most (gamma_a + J)/|omega + omega_a|
+    sys = fast_system(omega_a=omega_a, omega_b=omega_b, gamma_a=gamma_a,
+                      gamma_b=gamma_b, exchange_ab=j * ratio,
+                      exchange_ba=j / ratio)
+    omega = omega_b + detuning
+    s3 = complex(math.cos(phase), math.sin(phase))
+    resp = exact_linear_response(sys, s3, omega)
+    bound = (gamma_a + sys.exchange) / abs(omega + sys.omega_a)
+    for exact, formula in ((resp.f_plus, alkali_coherence(s3, omega, sys)),
+                           (resp.r_plus, noble_coherence(s3, omega, sys))):
+        assert abs(exact - formula) <= bound * abs(formula)

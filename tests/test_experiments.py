@@ -193,3 +193,17 @@ def test_reruns_are_byte_identical(preset_bundle, tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+def test_scan_result_write_leaves_no_partial_file(preset_bundle, tmp_path,
+                                                  monkeypatch):
+    res = run_spectrum_scan(preset_bundle)
+
+    def dump_then_fail(obj, fh, **kw):
+        fh.write("{")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(RuntimeError):
+        res.write(tmp_path, prefix="demo")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_points.csv"]

@@ -114,9 +114,9 @@ def test_lorentzian_fit_noisy_recovery():
 def test_lorentzian_fit_flags_flat_data():
     rng = np.random.default_rng(5)
     x = np.linspace(-1, 1, 41)
-    y = 1.0 + rng.normal(0, 0.05, x.size)  # no dip at all
-    fit = fit_inverted_lorentzian(x, y)
-    assert fit.degenerate
+    for y in (1.0 + rng.normal(0, 0.05, x.size),  # no dip at all
+              np.ones(x.size)):                    # and an exact, zero-residual fit
+        assert fit_inverted_lorentzian(x, y).degenerate
 
 
 def test_lorentzian_fit_needs_points():
