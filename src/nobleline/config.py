@@ -4,8 +4,11 @@ A run is described by up to five sections. [gas_cell], [optics], and
 [magnetics] hold physical inputs; [system] holds the directly-measured rates
 (gamma_a, gamma_b are required there — nothing derives them) plus optional
 overrides that win over any derived value; [scenario] selects and tunes a
-protocol. Unknown sections or keys are hard errors: a typo that silently
-reverts a parameter to its default would poison a scan.
+protocol. Each section's keys are the fields of the class it resolves
+into (GasCell, OpticalParams, MagneticConfig, SystemParams, ScenarioConfig),
+plus [optics] wavelength and [system] exchange; that class's constructor
+names any required key left out. Unknown sections or keys are hard errors:
+a typo that silently reverts a parameter to its default would poison a scan.
 
 The resolved, typed mapping travels into every output's provenance block and
 can be fed back through :func:`config_from_mapping` to reproduce a run.
@@ -14,6 +17,7 @@ can be fed back through :func:`config_from_mapping` to reproduce a run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 
@@ -33,9 +37,12 @@ SCENARIO_NAMES = ("spectrum", "excite", "sweep_field", "transient",
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text):
@@ -45,96 +52,12 @@ def _parse_int(text):
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_str(text):
-    return str(text)
-
-
-def _parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    parts = [p for p in str(text).replace(",", " ").split() if p]
+def _parse_float_list(value):
+    parts = (value if isinstance(value, (list, tuple))
+             else str(value).replace(",", " ").split())
     if not parts:
         raise ConfigError("expected a list of numbers, got nothing")
     return tuple(_parse_float(p) for p in parts)
-
-
-# schema: section -> key -> parser; required keys listed separately
-_SCHEMAS = {
-    "gas_cell": {
-        "alkali_density": _parse_float,
-        "noble_pressure": _parse_float,
-        "temperature": _parse_float,
-        "alkali_polarization": _parse_float,
-        "noble_polarization": _parse_float,
-        "slowing_factor": _parse_float,
-        "exchange_coefficient": _parse_float,
-        "cell_diameter": _parse_float,
-        "noble_density": _parse_float,
-    },
-    "optics": {
-        "beam_area": _parse_float,
-        "optical_halfwidth": _parse_float,
-        "optical_detuning": _parse_float,
-        "control_power": _parse_float,
-        "wavelength": _parse_float,      # nm; alternative to photon_energy
-        "photon_energy": _parse_float,   # J
-        "optical_depth": _parse_float,
-        "electron_radius": _parse_float,
-        "tilt_coeff": _parse_float,
-        "faraday_coeff": _parse_float,
-        "scattering_rate": _parse_float,
-    },
-    "magnetics": {
-        "field": _parse_float,
-        "alkali_gyromagnetic": _parse_float,
-        "noble_gyromagnetic": _parse_float,
-        "alkali_emf": _parse_float,
-        "noble_emf": _parse_float,
-    },
-    "system": {
-        "gamma_a": _parse_float,
-        "gamma_b": _parse_float,
-        "omega_a": _parse_float,
-        "omega_b": _parse_float,
-        "exchange": _parse_float,
-        "exchange_ab": _parse_float,
-        "exchange_ba": _parse_float,
-        "tilt_coeff": _parse_float,
-        "alkali_polarization": _parse_float,
-    },
-    "scenario": {
-        "name": _parse_str,
-        "seed": _parse_int,
-        "noise_sigma": _parse_float,
-        "points": _parse_int,
-        "span_halfwidths": _parse_float,
-        "baseline_halfwidths": _parse_float_list,
-        "fields": _parse_float_list,
-        "pulse_efolds": _parse_float,
-        "ramp_efolds": _parse_float,
-        "dead_efolds": _parse_float,
-        "observe_efolds": _parse_float,
-        "readout_cycles": _parse_float,
-        "samples_per_cycle": _parse_float,
-        "demod_periods": _parse_float,
-        "tilt_amplitude": _parse_float,
-        "signal_amplitude": _parse_float,
-        "method": _parse_str,
-        "trials": _parse_int,
-        "out_prefix": _parse_str,
-    },
-}
-
-_REQUIRED = {
-    "gas_cell": ("alkali_density", "noble_pressure", "temperature",
-                 "alkali_polarization", "noble_polarization",
-                 "slowing_factor", "exchange_coefficient", "cell_diameter"),
-    "optics": ("beam_area", "optical_halfwidth", "optical_detuning",
-               "control_power", "optical_depth"),
-    "magnetics": ("field", "alkali_gyromagnetic"),
-    "system": ("gamma_a", "gamma_b"),
-    "scenario": (),
-}
 
 
 @dataclass(frozen=True)
@@ -152,7 +75,6 @@ class ScenarioConfig:
     ramp_efolds: float = 0.0
     dead_efolds: float = 6.0
     observe_efolds: float = 2.0
-    readout_cycles: float = 3.0
     samples_per_cycle: float = 32.0
     demod_periods: float = 8.0
     tilt_amplitude: float = 1.0
@@ -173,9 +95,10 @@ class ScenarioConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if len(set(self.fields)) != len(self.fields):
-            raise ConfigError("fields must be distinct")
-        for knob in ("pulse_efolds", "observe_efolds", "readout_cycles"):
+        if len(set(self.fields)) != len(self.fields) or len(self.fields) < 3:
+            raise ConfigError("fields must hold at least 3 distinct values")
+        for knob in ("pulse_efolds", "observe_efolds", "samples_per_cycle",
+                     "demod_periods"):
             if not getattr(self, knob) > 0:
                 raise ConfigError(f"{knob} must be positive")
         if not 0 <= self.ramp_efolds < 0.5 * self.pulse_efolds:
@@ -186,6 +109,27 @@ class ScenarioConfig:
         for knob in ("signal_amplitude", "tilt_amplitude"):
             if not abs(getattr(self, knob)) > 0:
                 raise ConfigError(f"{knob} must be nonzero")
+
+
+def _float_keys(cls, *inputs) -> dict:
+    """Parsers for a physical section: every field of cls and each extra
+    input resolved into a field (see config_from_mapping) is a float."""
+    return dict.fromkeys([f.name for f in dc_fields(cls)] + list(inputs),
+                         _parse_float)
+
+
+_PARSE_BY_TYPE = {str: str, int: _parse_int, float: _parse_float,
+                  tuple: _parse_float_list}
+
+# section -> key -> parser, built from the classes each section resolves into
+_SCHEMAS = {
+    "gas_cell": _float_keys(GasCell),
+    "optics": _float_keys(OpticalParams, "wavelength"),
+    "magnetics": _float_keys(MagneticConfig),
+    "system": _float_keys(SystemParams, "exchange"),
+    "scenario": {f.name: _PARSE_BY_TYPE[type(f.default)]
+                 for f in dc_fields(ScenarioConfig)},
+}
 
 
 @dataclass(frozen=True)
@@ -215,9 +159,6 @@ def _typed_mapping(raw: dict) -> dict:
                 out[key] = schema[key](value)
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
-        missing = [k for k in _REQUIRED[section] if k not in out]
-        if missing:
-            raise ConfigError(f"[{section}] missing required keys: {missing}")
         typed[section] = out
     return typed
 
@@ -262,7 +203,7 @@ def config_from_mapping(raw: dict) -> Bundle:
                 optics = derive_optics(optics, cell)
         system = build_system(magnetics=magnetics, cell=cell, optics=optics,
                               overrides=typed["system"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from None
 
     scenario = ScenarioConfig(**typed.get("scenario", {}))

@@ -410,23 +410,19 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
 
 @dataclass(frozen=True)
 class ExciteResult:
-    """Outcome of one excite-wait-read cycle at a single drive frequency."""
+    """Outcome of one excite-wait cycle at a single drive frequency."""
 
     omega: float
     amplitude: float          # |R| at readout start
     r_end: complex            # complex noble coherence at readout start
     pulse_duration: float
     dead_time: float
-    trajectory: SpinTrajectory  # readout window (times absolute)
-    meta: dict
 
 
 def excite_and_readout(system: SystemParams, omega: float | None = None,
                        s3_amplitude: complex = 1.0 + 0.0j,
                        pulse_efolds: float = 3.0, ramp: float = 0.0,
-                       dead_efolds: float = 6.0,
-                       readout_cycles: float = 3.0,
-                       sample_rate: float | None = None) -> ExciteResult:
+                       dead_efolds: float = 6.0) -> ExciteResult:
     """Drive the hybrid line, wait out the alkali transient, read |R|.
 
     The pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma)
@@ -434,8 +430,8 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
     Fourier-broadens a scanned line; push to >= 8 for width fidelity). The
     dead time, dead_efolds/(2*pi*gamma_a), lets the fast alkali mode ring
     down; the remaining slow decay over it is common to every frequency in
-    a scan and divides out on normalization. The readout trajectory covers
-    readout_cycles of the slaved precession for downstream demodulation.
+    a scan and divides out on normalization. The noble coherence R at the
+    end of the dead time, where a readout would start, is the result.
     """
     if omega is None:
         omega = line_center(system)
@@ -444,25 +440,14 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
         raise ValidityError("undamped line: excitation never saturates")
     pulse = pulse_efolds / (TWO_PI * gamma)
     dead = dead_efolds / (TWO_PI * system.gamma_a) if system.gamma_a > 0 else 0.0
-    freq_scale = max(abs(system.omega_b), gamma)
-    read = readout_cycles / freq_scale
-    if sample_rate is None:
-        sample_rate = 32.0 * freq_scale
 
     segments = [Segment(duration=pulse, amplitude=s3_amplitude, omega=omega,
                         ramp=ramp)]
     if dead > 0:
         segments.append(Segment(duration=dead))
     start = evolve_exact(system, segments, SpinState()).final_state
-    traj = evolve_exact(system, [Segment(duration=read)], start,
-                        sample_rate=sample_rate)
-    traj.times = traj.times + pulse + dead
-
-    return ExciteResult(
-        omega=omega, amplitude=abs(start.r), r_end=start.r,
-        pulse_duration=pulse, dead_time=dead, trajectory=traj,
-        meta={"pulse_efolds": pulse_efolds, "dead_efolds": dead_efolds,
-              "gamma": gamma})
+    return ExciteResult(omega=omega, amplitude=abs(start.r), r_end=start.r,
+                        pulse_duration=pulse, dead_time=dead)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import Bundle, provenance_mapping, scenario_with
+from .config import Bundle, provenance_mapping
 from .dynamics import (TRAJECTORY_COLUMNS, excite_and_readout,
                        magnetic_pulse_transient)
 from .model import ConfigError, TWO_PI, ValidityWarning, derive_larmor
@@ -165,9 +165,9 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
         for omega, rng in zip(omegas.tolist(), rngs):
             resp = s2_response(omega, system, bundle.optics,
                                s2_in=sc.signal_amplitude)
-            t, s2_t, _ = stokes_time_series(
-                resp.s2_out, 1j * resp.s2_out, omega, duration, fs,
-                noise_sigma=sc.noise_sigma, rng=rng if sc.noise_sigma else None)
+            t, s2_t = stokes_time_series(
+                resp.s2_out, omega, duration, fs, noise_sigma=sc.noise_sigma,
+                rng=rng if sc.noise_sigma else None)
             fit = heterodyne_extract(t, s2_t, omega)
             row = spectrum_row(omega, resp)
             row["transmission"] = (fit.amplitude / abs(sc.signal_amplitude))**2
@@ -209,10 +209,10 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
 def run_excitation_scan(bundle: Bundle) -> ScanResult:
     """Pulse-excite the noble spin across the line; fit the response width.
 
-    Each grid point runs one excite-wait-read cycle; the stored amplitude is
-    |R| at readout start. The squared, max-normalized amplitudes form a
-    Lorentzian peak, so the width fit runs on their complement (a unit-depth
-    dip). Short pulses Fourier-broaden the fitted width: at the default 3
+    Each grid point runs one excite-wait cycle; the stored amplitude is |R|
+    at its end, where a readout would start. The squared, max-normalized
+    amplitudes form a Lorentzian peak, so the width fit runs on their
+    complement (a unit-depth dip). Short pulses Fourier-broaden the fitted width: at the default 3
     e-folds expect ~14% excess; beyond 8 e-folds the bias is < 0.1%.
     """
     sc = bundle.scenario
@@ -238,7 +238,7 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
         res = excite_and_readout(
             system, float(omega), s3_amplitude=sc.signal_amplitude,
             pulse_efolds=sc.pulse_efolds, ramp=ramp,
-            dead_efolds=sc.dead_efolds, readout_cycles=sc.readout_cycles)
+            dead_efolds=sc.dead_efolds)
         amp = res.amplitude
         if sc.noise_sigma > 0:
             amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
@@ -445,13 +445,6 @@ _RUNNERS = {
 }
 
 
-def run_scenario(bundle: Bundle, name: str | None = None) -> ScanResult:
-    """Dispatch to the runner selected by `name` or the bundle's scenario."""
-    name = name or bundle.scenario.name
-    if name not in _RUNNERS:
-        raise ConfigError(f"unknown scenario {name!r}; "
-                          f"expected one of {sorted(_RUNNERS)}")
-    if name != bundle.scenario.name:
-        bundle = replace(bundle, scenario=scenario_with(bundle.scenario,
-                                                        name=name))
-    return _RUNNERS[name](bundle)
+def run_scenario(bundle: Bundle) -> ScanResult:
+    """Dispatch to the runner that the bundle's scenario names."""
+    return _RUNNERS[bundle.scenario.name](bundle)

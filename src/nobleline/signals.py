@@ -47,22 +47,20 @@ def synthesize_channel(times: np.ndarray, amplitude: complex, omega: float,
     return x
 
 
-def stokes_time_series(s2: complex, s3: complex, omega: float,
-                       duration: float, sample_rate: float,
-                       noise_sigma: float = 0.0,
+def stokes_time_series(s2: complex, omega: float, duration: float,
+                       sample_rate: float, noise_sigma: float = 0.0,
                        rng: np.random.Generator | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Photodetector records (t, S2(t), S3(t)) for given spectral amplitudes.
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Photodetector record (t, S2(t)) for a given spectral amplitude.
 
-    Requires sample_rate > 4*omega; independent noise per channel.
+    Requires sample_rate > 4*omega.
     """
     if omega != 0.0 and sample_rate <= MIN_SAMPLES_PER_CYCLE * abs(omega):
         raise ValidityError(
             f"sample_rate {sample_rate:.6g} must exceed {MIN_SAMPLES_PER_CYCLE:g}"
             f" * omega = {MIN_SAMPLES_PER_CYCLE * abs(omega):.6g}")
     t = time_grid(duration, sample_rate)
-    return (t, synthesize_channel(t, s2, omega, noise_sigma, rng),
-            synthesize_channel(t, s3, omega, noise_sigma, rng))
+    return t, synthesize_channel(t, s2, omega, noise_sigma, rng)
 
 
 def _t_quantile(dof: int) -> float:

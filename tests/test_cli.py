@@ -84,12 +84,17 @@ def test_missing_config_exits_config(tmp_path, capsys):
 
 
 def test_unknown_key_exits_config(tmp_path, capsys):
-    sections = {k: dict(v) for k, v in FAST_SYSTEM.items()}
-    sections["system"]["gamma_c"] = "1.0"
-    code = main(["check-config", "--config",
-                 write_ini(tmp_path / "f.ini", sections)])
-    assert code == EXIT_CONFIG
-    assert "gamma_c" in capsys.readouterr().err
+    # readout_cycles was a scenario knob that no output read
+    for section, key in (("system", "gamma_c"), ("scenario", "readout_cycles")):
+        sections = {k: dict(v) for k, v in FAST_SYSTEM.items()}
+        sections.setdefault(section, {})[key] = "1.0"
+        code = main(["check-config", "--config",
+                     write_ini(tmp_path / "f.ini", sections)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("nobleline: error: config:")
+        assert err.count("\n") == 1
+        assert key in err
 
 
 def test_validity_error_exits_validity(tmp_path, capsys):
@@ -142,11 +147,18 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     ("excite", "ramp_efolds", "2.0"),
     ("excite", "pulse_efolds", "0"),
     ("transient", "observe_efolds", "-1"),
-    ("excite", "readout_cycles", "0"),
+    ("transient", "observe_efolds", "inf"),
+    ("excite", "pulse_efolds", "inf"),
+    ("transient", "noise_sigma", "nan"),
+    ("transient", "noise_sigma", "inf"),
     ("excite", "dead_efolds", "-1"),
     ("excite", "signal_amplitude", "0"),
     ("sweep-field", "tilt_amplitude", "0"),
     ("sweep-field", "fields", "5 5 5"),
+    ("sweep-field", "fields", "5 6"),
+    ("calibrate", "fields", "5 6"),
+    ("transient", "samples_per_cycle", "0"),
+    ("spectrum", "demod_periods", "0"),
 ])
 def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
                                         value):

@@ -1,13 +1,27 @@
 """Config parsing, the packaged preset, and provenance round-trips."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nobleline.config import (Bundle, ScenarioConfig, config_from_mapping,
-                              load_config, preset_path, provenance_mapping,
-                              scenario_with)
-from nobleline.model import ConfigError
+from nobleline.config import (_SCHEMAS, Bundle, ScenarioConfig,
+                              config_from_mapping, load_config, preset_path,
+                              provenance_mapping, scenario_with)
+from nobleline.model import ConfigError, ValidityError
+
+# a system that loads, for mappings to perturb
+LOADABLE = {"system": {"gamma_a": "1.0", "gamma_b": "0.05", "omega_a": "500",
+                       "omega_b": "25", "exchange": "2"}}
+
+_NUMBERS = st.one_of(st.floats(), st.integers(-10, 10**6))
+_VALUES = st.one_of(
+    _NUMBERS, _NUMBERS.map(str),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "", "a", "5 6 7", "1,2"]),
+    st.lists(st.one_of(_NUMBERS, _NUMBERS.map(str), st.just("a")),
+             max_size=5))
 
 
 def test_preset_loads_reference_system():
@@ -53,8 +67,18 @@ def test_missing_required_key_rejected(tmp_path):
                  "[optics]\noptical_halfwidth = 12.5e9\n"
                  "optical_detuning = 5e11\ncontrol_power = 0.025\n"
                  "wavelength = 770\noptical_depth = 27\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="beam_area"):
         load_config(p)
+    # in every section, the error names the key left out
+    preset = provenance_mapping(load_config(preset_path()))
+    for section, key in (("gas_cell", "cell_diameter"),
+                         ("optics", "optical_depth"),
+                         ("magnetics", "alkali_gyromagnetic"),
+                         ("system", "gamma_b")):
+        raw = {name: dict(entries) for name, entries in preset.items()}
+        del raw[section][key]
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(raw)
 
 
 def test_minimal_system_only_config(tmp_path):
@@ -89,6 +113,18 @@ def test_wavelength_and_photon_energy_exclusive():
     ok = config_from_mapping({**base, "optics": {**optics,
                                                  "wavelength": 770.0}})
     assert ok.optics.photon_energy == pytest.approx(2.5798e-19, rel=1e-3)
+
+
+def test_values_that_overflow_the_derivation_rejected():
+    # finite inputs whose derived values leave the float range
+    raw = provenance_mapping(load_config(preset_path()))
+    raw["optics"]["wavelength"] = 5e-324
+    with pytest.raises(ConfigError):
+        config_from_mapping(raw)
+    raw = {"system": {**LOADABLE["system"], "exchange": "1e200",
+                      "exchange_ab": "1", "exchange_ba": "1"}}
+    with pytest.raises(ConfigError):
+        config_from_mapping(raw)
 
 
 def test_provenance_round_trip():
@@ -130,3 +166,31 @@ def test_bundle_compare_excludes_mapping():
     b = Bundle(system=a.system, scenario=a.scenario, cell=a.cell,
                optics=a.optics, magnetics=a.magnetics, mapping={})
     assert a == b
+
+
+@pytest.mark.filterwarnings("ignore::nobleline.model.ValidityWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_mapping_loads_or_raises_config_error(data):
+    # edits on an empty, a system-only or the preset mapping, so that both
+    # the rejections and the loads are reached
+    base = data.draw(st.sampled_from(
+        [{}, LOADABLE, provenance_mapping(load_config(preset_path()))]))
+    raw = {name: dict(entries) for name, entries in base.items()}
+    for section in data.draw(st.lists(
+            st.sampled_from([*_SCHEMAS, "mystery"]), max_size=3)):
+        key = data.draw(st.sampled_from([*_SCHEMAS.get(section, ()),
+                                         "mystery"]))
+        raw.setdefault(section, {})[key] = data.draw(_VALUES)
+    try:
+        bundle = config_from_mapping(raw)
+    except ValidityError:  # a physics-regime rejection, exit 3 in the CLI
+        return
+    except ConfigError:
+        return
+    for entries in bundle.mapping.values():
+        for value in entries.values():
+            if isinstance(value, (int, float)):
+                assert math.isfinite(value)
+            elif isinstance(value, tuple):
+                assert all(math.isfinite(v) for v in value)

@@ -152,11 +152,9 @@ def test_calibration_noiseless_recovery_and_coverage(preset_bundle):
 
 
 def test_run_scenario_dispatch(preset_bundle):
-    res = run_scenario(with_scenario(preset_bundle, observe_efolds=1.0),
-                       "transient")
+    res = run_scenario(with_scenario(preset_bundle, name="transient",
+                                     observe_efolds=1.0))
     assert res.name == "transient"
-    with pytest.raises(ConfigError):
-        run_scenario(preset_bundle, "resonance")
 
 
 def test_scan_result_write_and_provenance_round_trip(preset_bundle, tmp_path):

@@ -33,8 +33,7 @@ def test_time_grid_guards():
 
 def test_stokes_series_nyquist_guard():
     with pytest.raises(ValidityError):
-        stokes_time_series(1.0, 1.0j, omega=10.0, duration=1.0,
-                           sample_rate=30.0)
+        stokes_time_series(1.0, omega=10.0, duration=1.0, sample_rate=30.0)
 
 
 def test_heterodyne_recovers_amplitude_and_phase():
