@@ -13,11 +13,11 @@ All rates and frequencies follow a single convention described in
 
 from .config import (Bundle, ScenarioConfig, config_from_mapping, load_config,
                      preset_path, scenario_with)
-from .dynamics import (Drive, ExciteResult, IntegrationError, Segment,
-                       SidebandResponse, SpinState, SpinTrajectory,
-                       TransientResult, evolve_exact, exact_linear_response,
-                       excite_and_readout, integrate_bloch,
-                       magnetic_pulse_transient, slow_mode, tilt_state)
+from .dynamics import (ExciteResult, Segment, SidebandResponse, SpinState,
+                       SpinTrajectory, TransientResult, evolve_exact,
+                       exact_linear_response, excite_and_readout,
+                       integrate_bloch, magnetic_pulse_transient, slow_mode,
+                       tilt_state)
 from .experiments import ScanResult, run_scenario
 from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     MagneticConfig, NoblelineError, OpticalParams,

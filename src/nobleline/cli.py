@@ -84,7 +84,11 @@ def _run_scenario_command(args, scenario_name: str) -> int:
     bundle = replace(bundle, scenario=scenario)
     prefix = scenario.out_prefix or scenario.name
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"unusable --out {args.out}: {exc.strerror}") from None
     lock_path = os.path.join(args.out, f"{prefix}.lock")
     try:
         lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -92,6 +96,9 @@ def _run_scenario_command(args, scenario_name: str) -> int:
         raise ConfigError(
             f"output prefix {prefix!r} in {args.out} is locked by another "
             f"run (stale? remove {lock_path})") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create {lock_path}: {exc.strerror}") from None
     try:
         os.write(lock_fd, str(os.getpid()).encode())
         os.close(lock_fd)

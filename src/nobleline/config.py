@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from importlib import resources
 
 from scipy import constants as _const
@@ -187,10 +187,13 @@ def config_from_mapping(raw: dict) -> Bundle:
         raise ConfigError("a [system] section with gamma_a and gamma_b "
                           "is required")
 
+    section = "gas_cell"  # the section being resolved, for error messages
     try:
         cell = GasCell(**typed["gas_cell"]) if "gas_cell" in typed else None
+        section = "magnetics"
         magnetics = (MagneticConfig(**typed["magnetics"])
                      if "magnetics" in typed else None)
+        section = "optics"
         optics = None
         if "optics" in typed:
             optics = OpticalParams(**_resolve_photon_energy(typed["optics"]))
@@ -201,10 +204,11 @@ def config_from_mapping(raw: dict) -> Bundle:
                                       "[gas_cell] section (or give tilt_coeff,"
                                       " faraday_coeff, scattering_rate)")
                 optics = derive_optics(optics, cell)
+        section = "system"
         system = build_system(magnetics=magnetics, cell=cell, optics=optics,
                               overrides=typed["system"])
     except (ValueError, TypeError, ArithmeticError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"[{section}] {exc}") from None
 
     scenario = ScenarioConfig(**typed.get("scenario", {}))
     return Bundle(system=system, scenario=scenario, cell=cell, optics=optics,
@@ -216,7 +220,11 @@ def load_config(path) -> Bundle:
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"malformed config file {path}: {message}") from None
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
     raw = {section: dict(parser.items(section))
@@ -237,10 +245,7 @@ def provenance_mapping(bundle: Bundle) -> dict:
 
 def scenario_with(scenario: ScenarioConfig, **updates) -> ScenarioConfig:
     """Copy a scenario with some fields replaced (validating the result)."""
-    values = {f.name: getattr(scenario, f.name)
-              for f in dc_fields(ScenarioConfig)}
-    values.update(updates)
-    return ScenarioConfig(**values)
+    return replace(scenario, **updates)
 
 
 def preset_path(name: str = "k3he_reference"):

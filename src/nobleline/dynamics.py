@@ -17,32 +17,24 @@ Equivalently, with f = F_x + i F_y and r = R_x + i R_y,
 which contains no conjugate coupling; the two drive sidebands therefore
 evolve independently, and piecewise-harmonic drives admit an exact
 eigenmode solution (evolve_exact), the only engine the protocol runners
-use. The adaptive integrator (integrate_bloch) is kept as an independent
-reference for checking it.
+use. The adaptive integrator (integrate_bloch), driven by the same Segment
+list, is kept as an independent reference for checking it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (TWO_PI, NoblelineError, SystemParams, ValidityError,
-                    ValidityWarning)
+from .model import TWO_PI, SystemParams, ValidityError, ValidityWarning
 from .signals import fit_decaying_sinusoid
 from .spectrum import hybrid_linewidth, line_center
 
 TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
-
-
-class IntegrationError(NoblelineError):
-    """Numerical integration failed; `last_time` holds the last good time."""
-
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
 
 
 @dataclass(frozen=True)
@@ -82,53 +74,6 @@ def tilt_state(amplitude: float, phase: float = 0.0) -> SpinState:
                      r_y=amplitude * math.sin(phase))
 
 
-@dataclass(frozen=True)
-class Drive:
-    """Optical-pumping drive S3(t), possibly gated with raised-cosine edges.
-
-    kind "off": S3 = 0. kind "harmonic": S3(t) = Re[amp * exp(-2*pi*i*omega*t)]
-    for all t. kind "pulse": the harmonic gated on over [t_on, t_off] with
-    raised-cosine edges of duration `ramp` inside the gate (ramp = 0 gives
-    rectangular edges).
-    """
-
-    kind: str = "off"
-    amplitude: complex = 0.0j
-    omega: float = 0.0
-    t_on: float = 0.0
-    t_off: float = math.inf
-    ramp: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("off", "harmonic", "pulse"):
-            raise ValueError(f"unknown drive kind {self.kind!r}")
-        if self.ramp < 0 or (self.kind == "pulse"
-                             and self.t_off - self.t_on < 2 * self.ramp):
-            raise ValueError("pulse too short for the requested ramp")
-
-    def envelope(self, t: float) -> float:
-        if self.kind == "off":
-            return 0.0
-        if self.kind == "harmonic":
-            return 1.0
-        if not self.t_on <= t <= self.t_off:
-            return 0.0
-        if self.ramp > 0.0:
-            for edge, inside in ((self.t_on, t - self.t_on),
-                                 (self.t_off, self.t_off - t)):
-                if inside < self.ramp:
-                    return 0.5 * (1.0 - math.cos(math.pi * inside / self.ramp))
-        return 1.0
-
-    def value(self, t: float) -> float:
-        env = self.envelope(t)
-        if env == 0.0:
-            return 0.0
-        phase = TWO_PI * self.omega * t
-        return env * (self.amplitude.real * math.cos(phase)
-                      + self.amplitude.imag * math.sin(phase))
-
-
 @dataclass
 class SpinTrajectory:
     """Sampled spin evolution plus integrator metadata."""
@@ -149,10 +94,39 @@ class SpinTrajectory:
         return self.state_at(-1)
 
 
-def bloch_rhs(t: float, y, system: SystemParams, drive: Drive):
-    """Right-hand side of the coupled Bloch equations (scalar math)."""
+def segment_drive(segments):
+    """S3(t), for t from 0 to the summed durations, of a Segment list.
+
+    Each segment's phase is referred to its own start, as in evolve_exact;
+    raised-cosine edges are evaluated continuously, not as that engine's
+    constant-amplitude substeps, so the reference integrator checks them.
+    """
+    starts, pieces, t_end = [], [], 0.0
+    for seg in segments:
+        amp = complex(seg.amplitude)
+        starts.append(t_end)
+        pieces.append((t_end, seg.duration, amp.real, amp.imag,
+                       TWO_PI * seg.omega, seg.ramp))
+        t_end += seg.duration
+    cos, sin = math.cos, math.sin  # local names: s3 runs on every RHS call
+
+    def s3(t: float) -> float:
+        start, dur, a_re, a_im, w, ramp = pieces[bisect_right(starts, t) - 1]
+        tau = t - start
+        value = a_re * cos(w * tau) + a_im * sin(w * tau)
+        if ramp:
+            inside = min(tau, dur - tau)
+            if inside < ramp:
+                return 0.5 * (1.0 - cos(math.pi * inside / ramp)) * value
+        return value
+
+    return s3
+
+
+def bloch_rhs(t: float, y, system: SystemParams, drive):
+    """Right-hand side of the coupled Bloch equations; drive(t) is S3(t)."""
     f_x, f_y, r_x, r_y = y
-    s3 = drive.value(t)
+    s3 = drive(t)
     return (
         TWO_PI * (system.omega_a * f_y - system.exchange_ab * r_y
                   - system.gamma_a * f_x),
@@ -165,49 +139,35 @@ def bloch_rhs(t: float, y, system: SystemParams, drive: Drive):
     )
 
 
-def integrate_bloch(system: SystemParams, drive: Drive,
-                    t_span: tuple[float, float],
-                    initial: SpinState | None = None,
-                    method: str = "dop853", rtol: float = 1e-9,
-                    atol: float = 1e-12, max_step: float | None = None,
-                    t_eval=None, sample_rate: float | None = None
-                    ) -> SpinTrajectory:
-    """Numerically integrate the Bloch equations over t_span.
+def integrate_bloch(system: SystemParams, segments,
+                    initial: SpinState | None = None, rtol: float = 1e-9,
+                    atol: float = 1e-12, t_eval=None,
+                    sample_rate: float | None = None) -> SpinTrajectory:
+    """Integrate the Bloch equations through the segments evolve_exact takes.
 
-    Independent of the eigenmode solution, and far slower for mHz lines; it
-    serves as the reference the exact engine is checked against.
-
-    method: "rk45" or "dop853" (adaptive, dense output; scipy). Sampling:
-    explicit t_eval wins, else a uniform grid at sample_rate, else the
-    integrator's own steps.
+    Adaptive DOP853 (scipy) from 0 to the summed durations: independent of
+    the eigenmode solution, and far slower for mHz lines, it is the
+    reference the exact engine is checked against. Sampling: explicit
+    t_eval wins, else a uniform grid at sample_rate, else the steps taken.
     """
-    y0 = (initial or SpinState()).as_array()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValidityError("t_span must be increasing")
-    if t_eval is None and sample_rate is not None:
-        n = int(math.floor((t1 - t0) * sample_rate)) + 1
-        t_eval = t0 + np.arange(n) / sample_rate
-
-    if method not in ("rk45", "dop853"):
-        raise ValidityError(f"unknown integrator {method!r}")
-
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(
-        bloch_rhs, (t0, t1), y0, args=(system, drive),
-        method={"rk45": "RK45", "dop853": "DOP853"}[method],
-        rtol=rtol, atol=atol, dense_output=True,
-        max_step=max_step if max_step else np.inf, t_eval=t_eval)
+    y0 = (initial or SpinState()).as_array()
+    t1 = sum(seg.duration for seg in segments)
+    if not t1 > 0:
+        raise ValidityError("integrate_bloch needs at least one segment")
+    if t_eval is None and sample_rate is not None:
+        n = int(math.floor(t1 * sample_rate)) + 1
+        t_eval = np.arange(n) / sample_rate
+    sol = solve_ivp(bloch_rhs, (0.0, t1), y0,
+                    args=(system, segment_drive(segments)), method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True, t_eval=t_eval)
     if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else t0
-        raise IntegrationError(f"integrator stopped at t = {last:.6g} s: "
-                               f"{sol.message}", last_time=last)
-    meta = {"integrator": method, "rtol": rtol, "atol": atol,
-            "n_rhs_evals": int(sol.nfev), "params_hash": system.params_hash()}
-    t = sol.t
-    return SpinTrajectory(times=t, f_x=sol.y[0], f_y=sol.y[1],
-                          r_x=sol.y[2], r_y=sol.y[3], meta=meta)
+        last = float(sol.t[-1]) if sol.t.size else 0.0
+        raise ValidityError(f"integrator stopped at t = {last:.6g} s: "
+                            f"{sol.message}")
+    return SpinTrajectory(times=sol.t, f_x=sol.y[0], f_y=sol.y[1],
+                          r_x=sol.y[2], r_y=sol.y[3])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +383,7 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
                        s3_amplitude: complex = 1.0 + 0.0j,
                        pulse_efolds: float = 3.0, ramp: float = 0.0,
                        dead_efolds: float = 6.0) -> ExciteResult:
-    """Drive the hybrid line, wait out the alkali transient, read |R|.
+    """Excite the hybrid line, wait out the alkali transient, read |R|.
 
     The pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma)
     (so the default 3 leaves the noble spin near saturation but still

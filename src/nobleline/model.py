@@ -219,7 +219,7 @@ class SystemParams:
 
     @property
     def drive_coeff(self) -> float:
-        """Drive prefactor abar * p_a multiplying S3(t) in the alkali equation."""
+        """Prefactor abar * p_a of the drive S3(t) in the alkali equation."""
         return self.tilt_coeff * self.alkali_polarization
 
     def params_hash(self) -> str:
@@ -229,7 +229,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Detunings:
-    """Drive detunings from the bare resonances and from the hybridized line.
+    """Detunings of the drive from the bare resonances and the hybridized line.
 
     delta_a = omega - omega_a, delta_b = omega - omega_b, and delta_hybrid is
     delta_b corrected by the frequency pulling the alkali coupling induces.

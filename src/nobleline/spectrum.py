@@ -79,7 +79,7 @@ def noble_coherence(s3_in: complex, omega: float,
 
 def line_center(system: SystemParams, tol: float = 1e-14,
                 max_iter: int = 200) -> float:
-    """Drive frequency at which the pulled detuning Delta vanishes.
+    """Frequency of the drive at which the pulled detuning Delta vanishes.
 
     Solves omega = omega_b + J^2*(omega - omega_a)/((omega - omega_a)^2 +
     gamma_a^2) by fixed-point iteration from omega_b; the pull is a tiny

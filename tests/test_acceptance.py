@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from nobleline.config import load_config, preset_path, scenario_with
-from nobleline.dynamics import (Drive, Segment, SpinState, evolve_exact,
+from nobleline.dynamics import (Segment, SpinState, evolve_exact,
                                 exact_linear_response, integrate_bloch)
 from nobleline.experiments import (run_calibration, run_excitation_scan,
                                    run_field_sweep, run_scenario,
@@ -108,9 +108,9 @@ def test_criterion_3_rotating_wave_oracle():
         start = resp.state_at(0.0)
         window = 6.0 / omega
         traj = integrate_bloch(
-            system, Drive(kind="harmonic", amplitude=1.0 + 0.0j, omega=omega),
-            (0.0, window), initial=start, rtol=1e-11, atol=1e-13,
-            sample_rate=64.0 * omega)
+            system, [Segment(duration=window, amplitude=1.0 + 0.0j,
+                             omega=omega)],
+            initial=start, rtol=1e-11, atol=1e-13, sample_rate=64.0 * omega)
         z_f = (heterodyne_extract(traj.times, traj.f_x, omega).z
                + 1j * heterodyne_extract(traj.times, traj.f_y, omega).z)
         z_r = (heterodyne_extract(traj.times, traj.r_x, omega).z

@@ -97,6 +97,48 @@ def test_unknown_key_exits_config(tmp_path, capsys):
         assert key in err
 
 
+MALFORMED_INI = {
+    "no_section_header": b"gamma_a = 1.0\n",
+    "duplicate_key": b"[system]\ngamma_a = 1.0\ngamma_a = 2.0\n",
+    "line_without_equals": b"[system]\ngamma_a\n",
+    "binary": bytes(range(256)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INI))
+def test_malformed_config_file_exits_config(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.ini"
+    path.write_bytes(MALFORMED_INI[name])
+    assert main(["check-config", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+def test_unusable_out_exits_config(tmp_path, capsys, out):
+    # --out naming an existing file, or a path under one
+    (tmp_path / "a_file").write_text("")
+    code = main(["spectrum", "--out", str(tmp_path / out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert str(tmp_path / out) in err
+
+
+def test_out_prefix_in_missing_directory_exits_config(tmp_path, capsys):
+    sections = {**FAST_SYSTEM, "scenario": {"out_prefix": "missing/x"}}
+    cfg = write_ini(tmp_path / "f.ini", sections)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]
+                ) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "missing/x.lock" in err
+
+
 def test_validity_error_exits_validity(tmp_path, capsys):
     sections = {
         "system": {"gamma_a": "51.0", "gamma_b": "2.4e-3"},

@@ -119,11 +119,11 @@ def test_values_that_overflow_the_derivation_rejected():
     # finite inputs whose derived values leave the float range
     raw = provenance_mapping(load_config(preset_path()))
     raw["optics"]["wavelength"] = 5e-324
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[optics\] "):
         config_from_mapping(raw)
     raw = {"system": {**LOADABLE["system"], "exchange": "1e200",
                       "exchange_ab": "1", "exchange_ba": "1"}}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[system\] "):
         config_from_mapping(raw)
 
 

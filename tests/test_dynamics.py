@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nobleline.dynamics import (Drive, Segment, SidebandResponse, SpinState,
+from nobleline.dynamics import (Segment, SidebandResponse, SpinState,
                                 evolve_exact, exact_linear_response,
                                 excite_and_readout, integrate_bloch,
-                                magnetic_pulse_transient, slow_mode,
-                                tilt_state)
+                                magnetic_pulse_transient, segment_drive,
+                                slow_mode, tilt_state)
 from nobleline.model import TWO_PI, SystemParams, ValidityError
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import alkali_coherence, line_center, noble_coherence
@@ -26,7 +26,7 @@ def preset_system():
 
 
 def fast_system(**overrides) -> SystemParams:
-    """Small, stiff-free parameters keeping the rk integrators cheap."""
+    """Small, stiff-free parameters keeping the adaptive integrator cheap."""
     values = dict(omega_a=300.0, omega_b=30.0, gamma_a=20.0, gamma_b=0.5,
                   exchange_ab=8.0, exchange_ba=2.0, tilt_coeff=1.0,
                   alkali_polarization=1.0)
@@ -51,7 +51,7 @@ def test_tilt_state_geometry():
 def test_decoupled_free_precession_analytic():
     # J = 0: F(t) = e^{-2 pi gamma t} (cos, -sin) of 2 pi omega t
     sys = fast_system(exchange_ab=0.0, exchange_ba=0.0)
-    traj = integrate_bloch(sys, Drive(), (0.0, 0.2),
+    traj = integrate_bloch(sys, [Segment(duration=0.2)],
                            initial=SpinState(f_x=1.0), rtol=1e-11, atol=1e-13,
                            sample_rate=64.0 * sys.omega_a)
     env = np.exp(-TWO_PI * sys.gamma_a * traj.times)
@@ -62,17 +62,19 @@ def test_decoupled_free_precession_analytic():
 
 
 def test_exact_matches_adaptive_integration():
+    # one driven segment, then two at different amplitudes and frequencies,
+    # which checks that both engines refer each segment's phase to its start
     sys = fast_system()
-    drive_omega = 31.0
-    seg = Segment(duration=0.5, amplitude=0.7 - 0.2j, omega=drive_omega)
     initial = SpinState(0.1, -0.2, 0.3, 0.05)
-    exact = evolve_exact(sys, [seg], initial, sample_rate=2048.0)
-    drive = Drive(kind="harmonic", amplitude=0.7 - 0.2j, omega=drive_omega)
-    rk = integrate_bloch(sys, drive, (0.0, 0.5), initial=initial,
-                         rtol=1e-11, atol=1e-13, t_eval=exact.times)
-    for name in ("f_x", "f_y", "r_x", "r_y"):
-        assert np.allclose(getattr(exact, name), getattr(rk, name),
-                           atol=2e-8), name
+    first = Segment(duration=0.5, amplitude=0.7 - 0.2j, omega=31.0)
+    second = Segment(duration=0.3, amplitude=-0.4 + 0.9j, omega=28.5)
+    for segments in ([first], [first, second]):
+        exact = evolve_exact(sys, segments, initial, sample_rate=2048.0)
+        rk = integrate_bloch(sys, segments, initial=initial,
+                             rtol=1e-11, atol=1e-13, t_eval=exact.times)
+        for name in ("f_x", "f_y", "r_x", "r_y"):
+            assert np.allclose(getattr(exact, name), getattr(rk, name),
+                               atol=2e-8), (len(segments), name)
 
 
 def test_exact_ramp_matches_adaptive_integration():
@@ -81,39 +83,30 @@ def test_exact_ramp_matches_adaptive_integration():
     sys = fast_system()
     pulse, ramp = 0.4, 0.1
     amp, omega = 1.0 + 0.0j, 30.0
-    seg = Segment(duration=pulse, amplitude=amp, omega=omega, ramp=ramp)
-    exact = evolve_exact(sys, [seg], SpinState())
-    drive = Drive(kind="pulse", amplitude=amp, omega=omega, t_on=0.0,
-                  t_off=pulse, ramp=ramp)
-    rk = integrate_bloch(sys, drive, (0.0, pulse), rtol=1e-11, atol=1e-13,
+    segments = [Segment(duration=pulse, amplitude=amp, omega=omega,
+                        ramp=ramp)]
+    exact = evolve_exact(sys, segments, SpinState())
+    rk = integrate_bloch(sys, segments, rtol=1e-11, atol=1e-13,
                          t_eval=np.array([pulse]))
     r_exact = exact.final_state.r
     r_rk = rk.final_state.r
     assert abs(r_exact - r_rk) <= 2e-4 * abs(r_rk)
 
 
-def test_unknown_integrator_rejected():
-    for method in ("euler", "rk4"):
-        with pytest.raises(ValidityError):
-            integrate_bloch(fast_system(), Drive(), (0.0, 0.1), method=method)
-
-
 def test_drive_envelope_and_value():
-    d = Drive(kind="pulse", amplitude=2.0 - 1.0j, omega=3.0, t_on=1.0,
-              t_off=3.0, ramp=0.5)
-    assert d.envelope(0.5) == 0.0
-    assert d.envelope(2.0) == 1.0
-    assert d.envelope(1.25) == pytest.approx(0.5)   # mid-ramp
-    assert d.envelope(2.75) == pytest.approx(0.5)
-    # full-envelope value equals the spectral convention Re[X e^{-2pi i w t}]
-    t = 2.0
-    expect = (2.0 * math.cos(TWO_PI * 3.0 * t)
-              - 1.0 * math.sin(TWO_PI * 3.0 * t))
-    assert d.value(t) == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(ValueError):
-        Drive(kind="chirp")
-    with pytest.raises(ValueError):
-        Drive(kind="pulse", t_on=0.0, t_off=1.0, ramp=0.6)
+    # 0.1 s dead, then a 2 s pulse with 0.5 s raised-cosine edges whose phase
+    # is referred to its own start t0: S3 = env * Re[X e^{-2pi i w (t - t0)}]
+    s3 = segment_drive([Segment(duration=0.1),
+                        Segment(duration=2.0, amplitude=2.0 - 1.0j,
+                                omega=3.0, ramp=0.5)])
+    assert s3(0.05) == 0.0
+    assert s3(0.1) == 0.0                          # edges start from zero
+    assert s3(0.35) == pytest.approx(0.5)          # mid-ramp: 0.5 * 1
+    assert s3(1.85) == pytest.approx(-0.5)         # mid-ramp: 0.5 * -1
+    for tau in (0.6, 1.0, 1.3):                    # full envelope
+        expect = (2.0 * math.cos(TWO_PI * 3.0 * tau)
+                  - 1.0 * math.sin(TWO_PI * 3.0 * tau))
+        assert s3(0.1 + tau) == pytest.approx(expect, rel=1e-12)
 
 
 def test_segment_validation():
@@ -191,8 +184,8 @@ def test_demodulated_pair_recovers_co_rotating_amplitude(preset_system):
     resp = exact_linear_response(sys, 1.0 + 0.0j, omega)
     window = 8.0 / omega
     rate = 64.0 * sys.omega_a
-    drive = Drive(kind="harmonic", amplitude=1.0 + 0.0j, omega=omega)
-    traj = integrate_bloch(sys, drive, (0.0, window),
+    traj = integrate_bloch(sys, [Segment(duration=window,
+                                         amplitude=1.0 + 0.0j, omega=omega)],
                            initial=SpinState.from_complex(
                                resp.state_at(0.0).f, resp.state_at(0.0).r),
                            rtol=1e-11, atol=1e-14, sample_rate=rate)
@@ -214,11 +207,10 @@ def test_excite_and_readout_engines_agree():
     omega = line_center(sys)
     exact = excite_and_readout(sys, omega, s3_amplitude=1.0 + 0.0j,
                                pulse_efolds=2.0, dead_efolds=4.0)
-    start = exact.pulse_duration + exact.dead_time
-    drive = Drive(kind="pulse", amplitude=1.0 + 0.0j, omega=omega, t_on=0.0,
-                  t_off=exact.pulse_duration)
-    rk = integrate_bloch(sys, drive, (0.0, start), rtol=1e-11,
-                         t_eval=np.array([start]))
+    segments = [Segment(duration=exact.pulse_duration, amplitude=1.0 + 0.0j,
+                        omega=omega),
+                Segment(duration=exact.dead_time)]
+    rk = integrate_bloch(sys, segments, rtol=1e-11)
     r_end = rk.final_state.r
     assert exact.amplitude == pytest.approx(abs(r_end), rel=1e-6)
     assert exact.r_end == pytest.approx(r_end, rel=1e-5)
