@@ -33,11 +33,4 @@ from .spectrum import (LineShape, S2Response, alkali_coherence,
                        line_shape, noble_coherence, phase_shift,
                        power_transmission, s2_response, transmitted_ratio)
 
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("nobleline")
-except Exception:  # pragma: no cover - not installed
-    __version__ = "0.0.0"
-
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from importlib import resources
 
-from scipy import constants as _const
-
-from .model import (ConfigError, GasCell, MagneticConfig, OpticalParams,
-                    SystemParams, build_system, derive_optics)
+from .model import (PLANCK, SPEED_OF_LIGHT, ConfigError, GasCell,
+                    MagneticConfig, OpticalParams, SystemParams, build_system,
+                    derive_optics)
+from .signals import MIN_SAMPLES_PER_CYCLE
 
 #: default bias-field grid for sweeps, mG (log-spaced, includes both
 #: calibration anchor fields)
@@ -97,10 +97,13 @@ class ScenarioConfig:
             raise ConfigError("trials must be at least 1")
         if len(set(self.fields)) != len(self.fields) or len(self.fields) < 3:
             raise ConfigError("fields must hold at least 3 distinct values")
-        for knob in ("pulse_efolds", "observe_efolds", "samples_per_cycle",
-                     "demod_periods"):
+        for knob in ("pulse_efolds", "observe_efolds", "demod_periods"):
             if not getattr(self, knob) > 0:
                 raise ConfigError(f"{knob} must be positive")
+        # every record is sized from this knob, and a sparser one aliases
+        if not self.samples_per_cycle > MIN_SAMPLES_PER_CYCLE:
+            raise ConfigError(f"samples_per_cycle must exceed "
+                              f"{MIN_SAMPLES_PER_CYCLE:g}")
         if not 0 <= self.ramp_efolds < 0.5 * self.pulse_efolds:
             raise ConfigError("ramp_efolds must be non-negative and below "
                               "half of pulse_efolds")
@@ -172,7 +175,7 @@ def _resolve_photon_energy(optics_map: dict) -> dict:
     if wavelength is not None:
         if wavelength <= 0:
             raise ConfigError("[optics] wavelength must be positive")
-        out["photon_energy"] = _const.h * _const.c / (wavelength * 1e-9)
+        out["photon_energy"] = PLANCK * SPEED_OF_LIGHT / (wavelength * 1e-9)
     return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +76,13 @@ def tilt_state(amplitude: float, phase: float = 0.0) -> SpinState:
 
 @dataclass
 class SpinTrajectory:
-    """Sampled spin evolution plus integrator metadata."""
+    """Sampled spin evolution."""
 
     times: np.ndarray
     f_x: np.ndarray
     f_y: np.ndarray
     r_x: np.ndarray
     r_y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def state_at(self, index: int) -> SpinState:
         return SpinState(float(self.f_x[index]), float(self.f_y[index]),
@@ -314,9 +313,8 @@ def evolve_exact(system: SystemParams, segments, initial: SpinState,
             t_base += dur
     t = np.concatenate(ts_out)
     y = np.concatenate(ys_out, axis=0)
-    meta = {"integrator": "exact-lti", "params_hash": system.params_hash()}
     return SpinTrajectory(times=t, f_x=y[:, 0].real, f_y=y[:, 0].imag,
-                          r_x=y[:, 1].real, r_y=y[:, 1].imag, meta=meta)
+                          r_x=y[:, 1].real, r_y=y[:, 1].imag)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ class ScanResult:
         points = os.path.join(outdir, f"{prefix}_points.csv")
         with _replacing(points) as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
+            fh.writelines(",".join([_cell(row[c]) for c in self.columns])
+                          + "\n" for row in self.rows)
         paths.append(points)
 
         fitp = os.path.join(outdir, f"{prefix}_fit.json")
@@ -101,6 +101,8 @@ def _replacing(path: str):
 
 
 def _cell(value) -> str:
+    if type(value) is float:    # most cells; np.float64 takes the last line
+        return repr(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -338,8 +340,9 @@ def run_transient(bundle: Bundle) -> ScanResult:
     fit = res.fit
 
     rows = [{"t": t, "f_x": fx, "f_y": fy, "r_x": rx, "r_y": ry}
-            for t, fx, fy, rx, ry in zip(traj.times, traj.f_x, traj.f_y,
-                                         traj.r_x, traj.r_y)]
+            for t, fx, fy, rx, ry in zip(
+                traj.times.tolist(), traj.f_x.tolist(), traj.f_y.tolist(),
+                traj.r_x.tolist(), traj.r_y.tolist())]
     extras = {
         "predicted_decay": res.predicted_decay,
         "predicted_frequency": res.predicted_frequency,

@@ -22,12 +22,21 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from scipy import constants as _const
-
 TWO_PI = 2.0 * math.pi
 
+# SI constants. The first four are exact by definition of the SI units since
+# 2019; the electron radius is the CODATA 2022 value.
+#: Planck constant, J s
+PLANCK = 6.62607015e-34
+#: speed of light in vacuum, m/s
+SPEED_OF_LIGHT = 299792458.0
+#: Boltzmann constant, J/K
+BOLTZMANN = 1.380649e-23
+#: one Torr, Pa
+TORR = 101325.0 / 760.0
+
 #: classical electron radius, cm
-ELECTRON_RADIUS = _const.value("classical electron radius") * 1e2
+ELECTRON_RADIUS = 2.8179403205e-15 * 1e2
 
 #: helium-3 nuclear gyromagnetic ratio, Hz/mG (literature default; a
 #: calibration point in the magnetics config overrides it)
@@ -126,7 +135,7 @@ class GasCell:
 
 def ideal_gas_density(pressure_torr: float, temperature_k: float) -> float:
     """Ideal-gas number density in cm^-3 from pressure (Torr) and temperature (K)."""
-    return pressure_torr * _const.torr / (_const.k * temperature_k) * 1e-6
+    return pressure_torr * TORR / (BOLTZMANN * temperature_k) * 1e-6
 
 
 @dataclass(frozen=True)
@@ -290,7 +299,7 @@ def derive_optics(optics: OpticalParams, cell: GasCell) -> OpticalParams:
         raise ValidityError(
             f"optical detuning {optics.optical_detuning:.3g} Hz is inside "
             f"10*optical_halfwidth = {10 * optics.optical_halfwidth:.3g} Hz")
-    c_cm = _const.c * 1e2
+    c_cm = SPEED_OF_LIGHT * 1e2
     abar = 2.0 * optics.electron_radius * c_cm / (
         3.0 * cell.slowing_factor * optics.beam_area * optics.optical_detuning)
     alpha = cell.cell_diameter * cell.alkali_density * abar * optics.beam_area \

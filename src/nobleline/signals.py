@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .model import TWO_PI, FitConvergenceError, ValidityError, ValidityWarning
 
@@ -64,6 +63,8 @@ def stokes_time_series(s2: complex, omega: float, duration: float,
 
 
 def _t_quantile(dof: int) -> float:
+    from scipy.special import stdtrit
+
     if dof < 1:
         return math.inf
     return float(stdtrit(dof, 0.5 * (1.0 + CONFIDENCE)))

@@ -2,9 +2,13 @@
 
 import configparser
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nobleline
 from nobleline.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_VALIDITY,
                            main)
 from nobleline.config import preset_path
@@ -25,6 +29,31 @@ def write_ini(path, sections):
     with open(path, "w") as fh:
         parser.write(fh)
     return str(path)
+
+
+def preset_sections():
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read(preset_path())
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+@pytest.mark.parametrize("command", [None, "check-config", "derive-params"])
+def test_import_and_config_commands_load_no_scipy(command):
+    # scipy serves only the fits; importing it costs about half a cold start
+    script = "import sys, nobleline\n"
+    if command:
+        script += ("import contextlib, io, nobleline.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert nobleline.cli.main([{command!r}]) == 0\n")
+    script += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    src = os.path.dirname(os.path.dirname(nobleline.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_check_config_on_preset(capsys):
@@ -219,11 +248,7 @@ def test_ramp_too_long_for_the_widest_grid_point_exits_config(tmp_path,
                                                               capsys):
     # passes the load-time check against line center, but the pulses above
     # center are shorter than two such ramps
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#", ";"))
-    parser.optionxform = str
-    parser.read(preset_path())
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    sections = preset_sections()
     sections["scenario"]["ramp_efolds"] = "1.49999"
     code = main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
                  "--out", str(tmp_path / "out")])
@@ -232,3 +257,24 @@ def test_ramp_too_long_for_the_widest_grid_point_exits_config(tmp_path,
     assert err.startswith("nobleline: error: config:")
     assert err.count("\n") == 1
     assert "ramp_efolds" in err
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("transient", {"samples_per_cycle": "1.5"}),
+    ("transient", {"samples_per_cycle": "4"}),
+    ("sweep-field", {"samples_per_cycle": "1.5", "fields": "4 10.7 40"}),
+], ids=["transient-1.5", "transient-4", "sweep-field-1.5"])
+def test_undersampled_records_exit_config(tmp_path, capsys, command,
+                                          scenario):
+    # at 1.5 samples per cycle the precession aliases to half its frequency,
+    # which the fits would report as a clean measurement
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "samples_per_cycle" in err
+    assert not (tmp_path / "out").exists()

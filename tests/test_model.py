@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nobleline import model
 from nobleline.model import (ConfigError, Detunings, GasCell, MagneticConfig,
                              OpticalParams, SystemParams, ValidityError,
                              ValidityWarning, build_system,
@@ -33,6 +34,17 @@ def reference_system() -> SystemParams:
     mag = MagneticConfig(**REFERENCE_MAGNETICS)
     return build_system(magnetics=mag, cell=cell,
                         overrides={"gamma_a": 51.0, "gamma_b": 2.4e-3})
+
+
+def test_si_constants_match_scipy():
+    from scipy import constants
+
+    assert model.PLANCK == constants.h
+    assert model.SPEED_OF_LIGHT == constants.c
+    assert model.BOLTZMANN == constants.k
+    assert model.TORR == constants.torr
+    assert model.ELECTRON_RADIUS == constants.value(
+        "classical electron radius") * 1e2
 
 
 def test_ideal_gas_density_reference_fill():
