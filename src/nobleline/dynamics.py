@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI, SystemParams, ValidityError, ValidityWarning
-from .signals import fit_decaying_sinusoid
+from .signals import MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid
 from .spectrum import hybrid_linewidth, line_center
 
 TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
@@ -303,10 +303,10 @@ def evolve_exact(system: SystemParams, segments, initial: SpinState,
             else:
                 t_loc = np.array([dur])
             decay = np.exp(np.outer(t_loc, modes.eigvals))  # (n, 2)
-            homo = decay * coeffs[np.newaxis, :] @ modes.vectors.T
-            part = (np.exp(-1j * w * t_loc)[:, None] * u_plus[None, :]
-                    + np.exp(1j * w * t_loc)[:, None] * u_minus[None, :])
-            ys = homo + part
+            ys = decay * coeffs[np.newaxis, :] @ modes.vectors.T
+            if amp != 0:    # an undriven stretch has no particular solution
+                ys += (np.exp(-1j * w * t_loc)[:, None] * u_plus[None, :]
+                       + np.exp(1j * w * t_loc)[:, None] * u_minus[None, :])
             state = ys[-1].copy()
             ts_out.append(t_base + t_loc)
             ys_out.append(ys)
@@ -419,6 +419,31 @@ class TransientResult:
     formula_decay: float      # closed-form hybrid width at the slow line
 
 
+def _transient_grid(system: SystemParams, observe_efolds: float,
+                    samples_per_cycle: float):
+    """Slow mode and the (duration, sample_rate) of its tilt-pulse record."""
+    if not samples_per_cycle > MIN_SAMPLES_PER_CYCLE:
+        raise ValidityError(f"samples_per_cycle {samples_per_cycle:g} must "
+                            f"exceed {MIN_SAMPLES_PER_CYCLE:g}; a sparser "
+                            "record aliases the precession")
+    gamma_slow, freq_slow = slow_mode(system)
+    if gamma_slow <= 0:
+        raise ValidityError("undamped slow mode: transient never decays")
+    duration = observe_efolds / (TWO_PI * gamma_slow)
+    sample_rate = samples_per_cycle * max(abs(freq_slow), gamma_slow)
+    return gamma_slow, freq_slow, duration, sample_rate
+
+
+def transient_samples(system: SystemParams, observe_efolds: float,
+                      samples_per_cycle: float) -> int:
+    """Upper bound on the samples magnetic_pulse_transient would evolve,
+    computed without evolving: the start, floor(duration * rate) grid
+    points and the end point."""
+    _, _, duration, sample_rate = _transient_grid(system, observe_efolds,
+                                                  samples_per_cycle)
+    return int(math.floor(duration * sample_rate)) + 2
+
+
 def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
                              observe_efolds: float = 2.0,
                              samples_per_cycle: float = 32.0,
@@ -429,18 +454,15 @@ def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
 
     The tilt is modeled as instantaneous (see tilt_state). The record spans
     observe_efolds of the predicted slow decay, sampled at samples_per_cycle
-    per slow-mode cycle (or e-fold, if that is shorter); white noise of
-    noise_sigma, drawn from rng, is added to the stored R_x. The
-    decaying-sinusoid fit on R_x then measures the hybridized linewidth
-    without any optical drive.
+    (which must exceed MIN_SAMPLES_PER_CYCLE) per slow-mode cycle (or
+    e-fold, if that is shorter); white noise of noise_sigma, drawn from rng,
+    is added to the stored R_x. The decaying-sinusoid fit on R_x then
+    measures the hybridized linewidth without any optical drive.
     """
-    gamma_slow, freq_slow = slow_mode(system)
-    if gamma_slow <= 0:
-        raise ValidityError("undamped slow mode: transient never decays")
+    gamma_slow, freq_slow, duration, sample_rate = _transient_grid(
+        system, observe_efolds, samples_per_cycle)
     if noise_sigma and rng is None:
         raise ValidityError("noise requested without an rng")
-    duration = observe_efolds / (TWO_PI * gamma_slow)
-    sample_rate = samples_per_cycle * max(abs(freq_slow), gamma_slow)
     traj = evolve_exact(system, [Segment(duration=duration)],
                         tilt_state(tilt_amplitude), sample_rate=sample_rate)
     if noise_sigma:

@@ -23,10 +23,11 @@ import numpy as np
 
 from .config import Bundle, provenance_mapping
 from .dynamics import (TRAJECTORY_COLUMNS, excite_and_readout,
-                       magnetic_pulse_transient)
+                       magnetic_pulse_transient, transient_samples)
 from .model import ConfigError, TWO_PI, ValidityWarning, derive_larmor
-from .signals import (fit_decaying_sinusoid, fit_inverted_lorentzian,
-                      fit_linear, heterodyne_extract, stokes_time_series)
+from .signals import (MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid,
+                      fit_inverted_lorentzian, fit_linear, heterodyne_extract,
+                      stokes_time_series)
 from .spectrum import (SPECTRUM_COLUMNS, evaluate_spectrum, hybrid_linewidth,
                        line_center, line_shape, phase_shift, s2_response,
                        spectrum_row)
@@ -37,6 +38,10 @@ SWEEP_COLUMNS = ("field", "omega_b_bare", "line_center", "full_width",
 CALIBRATION_COLUMNS = ("trial", "slope", "slope_lo", "slope_hi",
                        "slope_covered", "decay", "decay_lo", "decay_hi",
                        "decay_covered")
+
+#: largest free-precession record a run may ask for: evolving and fitting
+#: one costs about 0.5 kB per sample, so this cap holds a run near 2 GB
+MAX_RECORD_SAMPLES = 4_000_000
 
 
 def _package_version() -> str:
@@ -127,6 +132,30 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _least_samples_per_cycle(highest: float, center: float) -> float:
+    """Smallest samples_per_cycle, to 6 significant digits, whose rate
+    samples_per_cycle * |center| passes the synthesis test at `highest`."""
+    bound = MIN_SAMPLES_PER_CYCLE * highest
+    step = 10.0 ** (math.floor(math.log10(bound / abs(center))) - 5)
+    knob = math.ceil(bound / abs(center) / step) * step
+    while not knob * abs(center) > bound:
+        knob += step
+    return knob
+
+
+def _check_record_sizes(scenario, systems) -> None:
+    """Refuse, before evolving any, a record larger than MAX_RECORD_SAMPLES."""
+    for system in systems:
+        n = transient_samples(system, scenario.observe_efolds,
+                              scenario.samples_per_cycle)
+        if n > MAX_RECORD_SAMPLES:
+            raise ConfigError(
+                f"a record of {n} samples exceeds the cap of "
+                f"{MAX_RECORD_SAMPLES}; lower observe_efolds "
+                f"({scenario.observe_efolds:g}) or samples_per_cycle "
+                f"({scenario.samples_per_cycle:g})")
+
+
 def _detuning_grid(scenario, gamma: float) -> np.ndarray:
     """Scan detunings: a dense core of `points` across +-span, plus
     symmetric far-baseline points that pin the fit's flat level."""
@@ -163,6 +192,12 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     if sc.method == "demodulated":
         duration = sc.demod_periods / abs(line.center)
         fs = sc.samples_per_cycle * abs(line.center)
+        highest = float(np.max(np.abs(omegas)))
+        if fs <= MIN_SAMPLES_PER_CYCLE * highest:
+            raise ConfigError(
+                f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
+                f"the scan's highest frequency {highest:.6g}; use at least "
+                f"{_least_samples_per_cycle(highest, line.center):.6g}")
         rows = []
         for omega, rng in zip(omegas.tolist(), rngs):
             resp = s2_response(omega, system, bundle.optics,
@@ -281,11 +316,15 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         raise ConfigError("sweep_field scenario needs a [magnetics] section")
     sc = bundle.scenario
     rngs = _streams(sc.seed, len(sc.fields))
+    systems = []
+    for b_field in sc.fields:
+        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
+        systems.append(replace(bundle.system, omega_a=omega_a,
+                               omega_b=omega_b))
+    _check_record_sizes(sc, systems)
 
     rows = []
-    for b_field, rng in zip(sc.fields, rngs):
-        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
-        system = replace(bundle.system, omega_a=omega_a, omega_b=omega_b)
+    for b_field, system, rng in zip(sc.fields, systems, rngs):
         center = line_center(system)
         gamma = hybrid_linewidth(system, center - system.omega_a)
         contrast = (line_shape(system, bundle.optics).contrast
@@ -296,7 +335,7 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
             samples_per_cycle=sc.samples_per_cycle,
             noise_sigma=sc.noise_sigma, rng=rng).fit
         rows.append({
-            "field": float(b_field), "omega_b_bare": omega_b,
+            "field": float(b_field), "omega_b_bare": system.omega_b,
             "line_center": center, "full_width": 2.0 * gamma,
             "contrast": contrast,
             "fit_frequency": fit.frequency, "fit_decay": fit.decay_rate,
@@ -331,6 +370,7 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 def run_transient(bundle: Bundle) -> ScanResult:
     """One tilt-pulse free-precession record with its decaying-sinusoid fit."""
     sc = bundle.scenario
+    _check_record_sizes(sc, [bundle.system])
     res = magnetic_pulse_transient(
         bundle.system, tilt_amplitude=sc.tilt_amplitude,
         observe_efolds=sc.observe_efolds,

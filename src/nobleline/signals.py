@@ -297,9 +297,11 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     Initialization: FFT peak for the frequency, quartile envelope ratio for
     the decay. The oscillation is parameterized internally as
     exp(-2*pi*g*t) * (a*cos + b*sin) + c to keep the phase unwrapped during
-    refinement. When the window is short against the decay time
-    (2*pi*g*T < 0.5) the decay is flagged ambiguous and a ValidityWarning
-    is emitted; the point estimate is still returned.
+    refinement. Each parameter vector costs one pass of exp, cos and sin,
+    shared by the residual and the Jacobian, which is written column by
+    column into one Fortran-ordered array. When the window is short
+    against the decay time (2*pi*g*T < 0.5) the decay is flagged ambiguous
+    and a ValidityWarning is emitted; the point estimate is still returned.
     """
     from scipy.optimize import least_squares
 
@@ -331,25 +333,52 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     else:
         g00 = 0.05 / span
 
+    # TRF evaluates the Jacobian where it last evaluated the residual, so one
+    # transcendental pass per parameter vector serves both
+    memo = [None, None]
+
+    def terms(p):
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()       # bits, not values: sin(-0.0) is -0.0
+        if memo[0] != key:
+            memo[:] = None, None    # drop the old arrays before making new
+            a, b, g, f, c = p
+            env = np.exp(-TWO_PI * g * ts)
+            arg = TWO_PI * f * ts
+            cosv = np.cos(arg)
+            sinv = np.sin(arg, out=arg)
+            osc = a * cosv
+            osc += b * sinv
+            memo[:] = key, (env, cosv, sinv, osc)
+        return memo[1]
+
     def resid(p):
-        a, b, g, f, c = p
-        env = np.exp(-TWO_PI * g * ts)
-        arg = TWO_PI * f * ts
-        return env * (a * np.cos(arg) + b * np.sin(arg)) + c - y
+        env, _, _, osc = terms(p)
+        r = env * osc
+        r += p[4]
+        r -= y
+        return r
 
     def jac(p):
-        a, b, g, f, c = p
-        env = np.exp(-TWO_PI * g * ts)
-        arg = TWO_PI * f * ts
-        cosv, sinv = np.cos(arg), np.sin(arg)
-        osc = a * cosv + b * sinv
-        return np.column_stack([
-            env * cosv,
-            env * sinv,
-            -TWO_PI * ts * env * osc,
-            TWO_PI * ts * env * (-a * sinv + b * cosv),
-            np.ones_like(ts),
-        ])
+        # filled in place, with no temporary: dg holds 2*pi*ts*env, which
+        # df needs, before it becomes d/dg = -(2*pi*ts*env)*osc, an exact
+        # negation; dc serves as scratch before it is set to 1
+        env, cosv, sinv, osc = terms(p)
+        a, b = p[0], p[1]
+        out = np.empty((ts.size, 5), order="F")
+        da, db, dg, df, dc = out.T
+        np.multiply(env, cosv, out=da)
+        np.multiply(env, sinv, out=db)
+        np.multiply(TWO_PI, ts, out=dg)
+        dg *= env
+        np.multiply(-a, sinv, out=df)
+        np.multiply(b, cosv, out=dc)
+        df += dc
+        df *= dg
+        dg *= osc
+        np.negative(dg, out=dg)
+        dc[:] = 1.0
+        return out
 
     sol = least_squares(resid, x0=[amp0, 0.0, g00, f0, float(np.mean(y))],
                         jac=jac, method="trf",

@@ -263,18 +263,57 @@ def test_ramp_too_long_for_the_widest_grid_point_exits_config(tmp_path,
     ("transient", {"samples_per_cycle": "1.5"}),
     ("transient", {"samples_per_cycle": "4"}),
     ("sweep-field", {"samples_per_cycle": "1.5", "fields": "4 10.7 40"}),
-], ids=["transient-1.5", "transient-4", "sweep-field-1.5"])
+    # above 4 per cycle of line center, but not of the scan's top frequency
+    ("spectrum", {"samples_per_cycle": "4.001", "method": "demodulated"}),
+], ids=["transient-1.5", "transient-4", "sweep-field-1.5",
+        "spectrum-demodulated-4.001"])
 def test_undersampled_records_exit_config(tmp_path, capsys, command,
                                           scenario):
     # at 1.5 samples per cycle the precession aliases to half its frequency,
     # which the fits would report as a clean measurement
     sections = preset_sections()
     sections["scenario"].update(scenario)
+    out = tmp_path / "out"
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "samples_per_cycle" in err
+    # the spectrum grid is checked after --out is made; nothing lands in it
+    assert not out.exists() or command == "spectrum" and not any(out.iterdir())
+
+
+def test_undersampled_spectrum_names_a_sampling_that_works(tmp_path, capsys):
+    sections = preset_sections()
+    sections["scenario"].update(samples_per_cycle="4.001",
+                                method="demodulated")
+    main(["spectrum", "--config", write_ini(tmp_path / "f.ini", sections),
+          "--out", str(tmp_path)])
+    least = capsys.readouterr().err.rsplit("use at least ", 1)[1].strip()
+    sections["scenario"]["samples_per_cycle"] = least
+    assert main(["spectrum", "--config",
+                 write_ini(tmp_path / "f.ini", sections), "--out",
+                 str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["transient", "sweep-field"])
+def test_oversized_record_exits_config_before_evolving(tmp_path, capsys,
+                                                       monkeypatch, command):
+    import nobleline.dynamics as dynamics
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a record was evolved before the size check")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", unreachable)
+    sections = preset_sections()
+    # 4.5 M samples at the preset's 6.1 mG, 55 M at the sweep's 40 mG
+    sections["scenario"]["observe_efolds"] = "200"
     code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("nobleline: error: config:")
     assert err.count("\n") == 1
-    assert "samples_per_cycle" in err
-    assert not (tmp_path / "out").exists()
+    assert "observe_efolds" in err and "samples_per_cycle" in err

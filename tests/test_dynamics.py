@@ -13,16 +13,26 @@ from nobleline.dynamics import (Segment, SidebandResponse, SpinState,
                                 excite_and_readout, integrate_bloch,
                                 magnetic_pulse_transient, segment_drive,
                                 slow_mode, tilt_state)
-from nobleline.model import TWO_PI, SystemParams, ValidityError
+from nobleline.model import TWO_PI, SystemParams, ValidityError, derive_larmor
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import alkali_coherence, line_center, noble_coherence
 
 
 @pytest.fixture(scope="module")
-def preset_system():
+def preset_bundle():
     from nobleline.config import load_config, preset_path
 
-    return load_config(preset_path()).system
+    return load_config(preset_path())
+
+
+@pytest.fixture(scope="module")
+def preset_system(preset_bundle):
+    return preset_bundle.system
+
+
+@pytest.fixture(scope="module")
+def preset_magnetics(preset_bundle):
+    return preset_bundle.magnetics
 
 
 def fast_system(**overrides) -> SystemParams:
@@ -249,6 +259,40 @@ def test_magnetic_pulse_transient_fits_the_noisy_record(preset_system):
     assert noisy.fit.residual_rms == pytest.approx(0.01, rel=0.05)
     assert noisy.fit.decay_rate == pytest.approx(clean.fit.decay_rate,
                                                  rel=0.05)
+
+
+@pytest.mark.parametrize("samples_per_cycle", [1.5, 4.0])
+def test_magnetic_pulse_transient_rejects_undersampling(
+        preset_system, monkeypatch, samples_per_cycle):
+    # at 1.5 samples per cycle the fit reports half the true frequency
+    import nobleline.dynamics as dynamics
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an undersampled record was evolved")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", unreachable)
+    with pytest.raises(ValidityError, match="samples_per_cycle"):
+        magnetic_pulse_transient(preset_system,
+                                 samples_per_cycle=samples_per_cycle)
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.floats(4.0, 10.0), observe_efolds=st.floats(0.5, 2.0),
+       samples_per_cycle=st.floats(6.0, 16.0))
+def test_noiseless_transient_fit_recovers_slow_mode(
+        preset_magnetics, preset_system, field, observe_efolds,
+        samples_per_cycle):
+    # records of 600 to 50k samples; the residual is the fast alkali mode
+    # the single-mode model leaves out, not white noise, so the error may
+    # exceed the 95 % interval, but stays within a few of its half-widths
+    omega_a, omega_b = derive_larmor(preset_magnetics, field=field)
+    system = replace(preset_system, omega_a=omega_a, omega_b=omega_b)
+    fit = magnetic_pulse_transient(system, observe_efolds=observe_efolds,
+                                   samples_per_cycle=samples_per_cycle).fit
+    decay, freq = slow_mode(system)
+    for value, ci, truth in ((fit.decay_rate, fit.decay_rate_ci, decay),
+                             (fit.frequency, fit.frequency_ci, abs(freq))):
+        assert abs(value - truth) <= 4.0 * 0.5 * (ci[1] - ci[0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -172,6 +172,52 @@ def test_sinusoid_fit_needs_samples():
         fit_decaying_sinusoid(np.arange(10.0), np.ones(10))
 
 
+def _same_bits(x, y):
+    return (x.shape == y.shape and np.ascontiguousarray(x).tobytes()
+            == np.ascontiguousarray(y).tobytes())
+
+
+def test_sinusoid_residual_and_jacobian_match_the_direct_forms(monkeypatch):
+    # the fitter's residual and Jacobian share one exp/cos/sin pass per
+    # parameter vector; at any point, in any call order, each must equal
+    # the direct expression bit for bit, or TRF would take another path
+    import scipy.optimize
+
+    real, seen = scipy.optimize.least_squares, {}
+
+    def spy(fun, x0, jac, **kwargs):
+        seen.update(fun=fun, jac=jac)
+        return real(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    t = 0.5 + np.arange(0.0, 30.0, 1.0 / 96.0)
+    y = np.exp(-TWO_PI * 0.02 * t) * np.cos(TWO_PI * 3.0 * t) + 0.01 * t
+    fit_decaying_sinusoid(t, y)
+    ts = t - t[0]
+
+    def direct(p):
+        a, b, g, f, c = p
+        env = np.exp(-TWO_PI * g * ts)
+        arg = TWO_PI * f * ts
+        cosv, sinv = np.cos(arg), np.sin(arg)
+        osc = a * cosv + b * sinv
+        return env * (a * np.cos(arg) + b * np.sin(arg)) + c - y, \
+            np.column_stack([env * cosv, env * sinv,
+                             -TWO_PI * ts * env * osc,
+                             TWO_PI * ts * env * (-a * sinv + b * cosv),
+                             np.ones_like(ts)])
+
+    # the signed zeros differ only in bits: a key comparing values would
+    # hand one the other's sin column
+    points = [[0.9, -0.2, 0.021, 3.001, 0.05], [0.9, -0.2, 0.0, 0.0, 0.05],
+              [0.9, -0.2, -0.0, -0.0, 0.05], [-0.3, 0.4, -0.001, -2.9, 1.0]]
+    for p in points + points[::-1]:
+        r, jm = direct(p)
+        assert _same_bits(seen["jac"](p), jm)
+        assert _same_bits(seen["fun"](np.array(p)), r)
+        assert _same_bits(seen["jac"](np.array(p)), jm)
+
+
 def test_sinusoid_report_schema():
     g, f = 0.02, 3.0
     t = np.arange(0.0, 30.0, 1.0 / (32 * f))
