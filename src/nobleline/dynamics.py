@@ -190,16 +190,15 @@ class _Modes:
         self.inverse = np.linalg.inv(self.vectors)
         self.drive_coeff = system.drive_coeff
 
-    def particular(self, amplitude: complex, omega: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Harmonic particular solution u+ e^{-i W t} + u- e^{+i W t}."""
-        if amplitude == 0:
-            z = np.zeros(2, dtype=complex)
-            return z, z
+    def particular(self, amplitudes, omega: float) -> np.ndarray:
+        """Particular solutions u+ e^{-i W t} + u- e^{+i W t} as u[0], u[1]:
+        a row per amplitude (zero for 0), each row its own LAPACK solve."""
+        amps = np.asarray(amplitudes, dtype=complex)
+        u = np.zeros((2, amps.size, 2), dtype=complex)
+        driven = amps != 0
+        if not driven.any():
+            return u
         w = TWO_PI * omega
-        d_plus = np.array([1j * TWO_PI * self.drive_coeff * amplitude / 2.0, 0.0])
-        d_minus = np.array([1j * TWO_PI * self.drive_coeff
-                            * np.conj(amplitude) / 2.0, 0.0])
         # the shifted generators have eigenvalues lambda +- iW; roundoff keeps
         # an on-resonance shift from being exactly singular, so test how
         # close the nearest one comes to zero against the largest
@@ -208,10 +207,15 @@ class _Modes:
             raise ValidityError(
                 "drive frequency sits (numerically) on an undamped eigenmode;"
                 " the steady response is unbounded")
+        d = np.zeros((2, driven.sum(), 2, 1), dtype=complex)
+        d[0, :, 0, 0] = 1j * TWO_PI * self.drive_coeff * amps[driven] / 2.0
+        d[1, :, 0, 0] = (1j * TWO_PI * self.drive_coeff
+                         * np.conj(amps[driven]) / 2.0)
         eye = np.eye(2)
-        u_plus = np.linalg.solve(self.matrix + 1j * w * eye, -d_plus)
-        u_minus = np.linalg.solve(self.matrix - 1j * w * eye, -d_minus)
-        return u_plus, u_minus
+        shifted = np.stack([self.matrix + 1j * w * eye,
+                            self.matrix - 1j * w * eye])
+        u[:, driven] = np.linalg.solve(shifted[:, np.newaxis], -d)[..., 0]
+        return u
 
 
 def slow_mode(system: SystemParams) -> tuple[float, float]:
@@ -286,27 +290,36 @@ def evolve_exact(system: SystemParams, segments, initial: SpinState,
     ys_out = [state[np.newaxis, :].copy()]
     t_base = 0.0
     for seg in segments:
-        for dur, amp, omega, offset in _expand_ramps(seg):
-            if offset:  # keep the drive phase continuous across substeps
-                amp = amp * np.exp(-1j * TWO_PI * omega * offset)
-            u_plus, u_minus = modes.particular(amp, omega)
-            w = TWO_PI * omega
+        stretches = list(_expand_ramps(seg))
+        # keep the drive phase continuous across substeps
+        amps = [amp * np.exp(-1j * TWO_PI * omega * offset) if offset else amp
+                for _, amp, omega, offset in stretches]
+        w = TWO_PI * seg.omega
+        # grids, decay and phasors depend only on a stretch's duration
+        grids, waves = {}, {}
+        for (dur, *_), amp, u_plus, u_minus in zip(
+                stretches, amps, *modes.particular(amps, seg.omega)):
             h0 = state - (u_plus + u_minus)
             coeffs = modes.inverse @ h0
-            if sample_rate and dur * sample_rate >= 2.0:
-                n = int(math.floor(dur * sample_rate))
-                t_loc = np.arange(1, n + 1) / sample_rate
-                if t_loc[-1] < dur:
-                    t_loc = np.append(t_loc, dur)
+            if dur not in grids:
+                if sample_rate and dur * sample_rate >= 2.0:
+                    n = int(math.floor(dur * sample_rate))
+                    t_loc = np.arange(1, n + 1) / sample_rate
+                    if t_loc[-1] < dur:
+                        t_loc = np.append(t_loc, dur)
+                    else:
+                        t_loc[-1] = dur
                 else:
-                    t_loc[-1] = dur
-            else:
-                t_loc = np.array([dur])
-            decay = np.exp(np.outer(t_loc, modes.eigvals))  # (n, 2)
+                    t_loc = np.array([dur])
+                grids[dur] = t_loc, np.exp(np.outer(t_loc, modes.eigvals))
+            t_loc, decay = grids[dur]
             ys = decay * coeffs[np.newaxis, :] @ modes.vectors.T
             if amp != 0:    # an undriven stretch has no particular solution
-                ys += (np.exp(-1j * w * t_loc)[:, None] * u_plus[None, :]
-                       + np.exp(1j * w * t_loc)[:, None] * u_minus[None, :])
+                if dur not in waves:
+                    waves[dur] = (np.exp(-1j * w * t_loc)[:, None],
+                                  np.exp(1j * w * t_loc)[:, None])
+                e_minus, e_plus = waves[dur]
+                ys += e_minus * u_plus[None, :] + e_plus * u_minus[None, :]
             state = ys[-1].copy()
             ts_out.append(t_base + t_loc)
             ys_out.append(ys)
@@ -354,9 +367,9 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
     driven segment, rescaled to the SidebandResponse normalization. Raises
     ValidityError when the drive sits on an undamped eigenmode.
     """
-    u_plus, u_minus = _Modes(system).particular(s3_amplitude, omega)
-    f_plus, r_plus = 2.0 * u_plus
-    f_minus, r_minus = 2.0 * u_minus
+    u_plus, u_minus = _Modes(system).particular([s3_amplitude], omega)
+    f_plus, r_plus = 2.0 * u_plus[0]
+    f_minus, r_minus = 2.0 * u_minus[0]
     return SidebandResponse(omega=omega, f_plus=complex(f_plus),
                             r_plus=complex(r_plus), f_minus=complex(f_minus),
                             r_minus=complex(r_minus))

@@ -39,8 +39,8 @@ CALIBRATION_COLUMNS = ("trial", "slope", "slope_lo", "slope_hi",
                        "slope_covered", "decay", "decay_lo", "decay_hi",
                        "decay_covered")
 
-#: largest free-precession record a run may ask for: evolving and fitting
-#: one costs about 0.5 kB per sample, so this cap holds a run near 2 GB
+#: largest sampled record a run may build: evolving and fitting one costs
+#: about 0.5 kB per sample, so this cap holds a run near 2 GB
 MAX_RECORD_SAMPLES = 4_000_000
 
 
@@ -143,17 +143,15 @@ def _least_samples_per_cycle(highest: float, center: float) -> float:
     return knob
 
 
-def _check_record_sizes(scenario, systems) -> None:
-    """Refuse, before evolving any, a record larger than MAX_RECORD_SAMPLES."""
-    for system in systems:
-        n = transient_samples(system, scenario.observe_efolds,
-                              scenario.samples_per_cycle)
-        if n > MAX_RECORD_SAMPLES:
-            raise ConfigError(
-                f"a record of {n} samples exceeds the cap of "
-                f"{MAX_RECORD_SAMPLES}; lower observe_efolds "
-                f"({scenario.observe_efolds:g}) or samples_per_cycle "
-                f"({scenario.samples_per_cycle:g})")
+def _check_record_sizes(scenario, sizes, knobs=("observe_efolds",
+                                                "samples_per_cycle")) -> None:
+    """Refuse, before building any, records above MAX_RECORD_SAMPLES; the
+    knobs are the scenario keys that set their sizes."""
+    n = max(sizes)
+    if n > MAX_RECORD_SAMPLES:
+        lower = " or ".join(f"{k} ({getattr(scenario, k):g})" for k in knobs)
+        raise ConfigError(f"a record of {n} samples exceeds the cap of "
+                          f"{MAX_RECORD_SAMPLES}; lower {lower}")
 
 
 def _detuning_grid(scenario, gamma: float) -> np.ndarray:
@@ -198,6 +196,8 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{_least_samples_per_cycle(highest, line.center):.6g}")
+        _check_record_sizes(sc, [int(round(duration * fs))],
+                            ("demod_periods", "samples_per_cycle"))
         rows = []
         for omega, rng in zip(omegas.tolist(), rngs):
             resp = s2_response(omega, system, bundle.optics,
@@ -321,7 +321,8 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
         systems.append(replace(bundle.system, omega_a=omega_a,
                                omega_b=omega_b))
-    _check_record_sizes(sc, systems)
+    _check_record_sizes(sc, [transient_samples(
+        s, sc.observe_efolds, sc.samples_per_cycle) for s in systems])
 
     rows = []
     for b_field, system, rng in zip(sc.fields, systems, rngs):
@@ -370,7 +371,8 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 def run_transient(bundle: Bundle) -> ScanResult:
     """One tilt-pulse free-precession record with its decaying-sinusoid fit."""
     sc = bundle.scenario
-    _check_record_sizes(sc, [bundle.system])
+    _check_record_sizes(sc, [transient_samples(
+        bundle.system, sc.observe_efolds, sc.samples_per_cycle)])
     res = magnetic_pulse_transient(
         bundle.system, tilt_amplitude=sc.tilt_amplitude,
         observe_efolds=sc.observe_efolds,
@@ -421,15 +423,17 @@ def run_calibration(bundle: Bundle) -> ScanResult:
 
     true_g = bundle.magnetics.alkali_gyromagnetic
     true_gamma = system.gamma_a
+    duration = 2.0 / (TWO_PI * true_gamma)
+    omegas = [true_g * (b - bundle.magnetics.noble_emf) for b in cal_fields]
+    rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
+    _check_record_sizes(sc, [int(duration * fs) for fs in rates],
+                        ("samples_per_cycle",))
     rngs = _streams(sc.seed, sc.trials)
 
     def one_trial(trial: int, rng) -> dict:
         freq_hat, freq_b = [], []
         gam_hat, gam_var = [], []
-        for b_field in cal_fields:
-            omega_a = true_g * (b_field - bundle.magnetics.noble_emf)
-            duration = 2.0 / (TWO_PI * true_gamma)
-            fs = sc.samples_per_cycle * abs(omega_a)
+        for b_field, omega_a, fs in zip(cal_fields, omegas, rates):
             t = np.arange(int(duration * fs)) / fs
             record = np.exp(-TWO_PI * true_gamma * t) \
                 * np.cos(TWO_PI * omega_a * t)

@@ -298,22 +298,38 @@ def test_undersampled_spectrum_names_a_sampling_that_works(tmp_path, capsys):
                  str(tmp_path), "--quiet"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("command", ["transient", "sweep-field"])
-def test_oversized_record_exits_config_before_evolving(tmp_path, capsys,
-                                                       monkeypatch, command):
+@pytest.mark.parametrize("command, overrides, knobs", [
+    # 4.5 M samples at the preset's 6.1 mG, 55 M at the sweep's 40 mG
+    pytest.param("transient", {"observe_efolds": "200"},
+                 ("observe_efolds", "samples_per_cycle"), id="transient"),
+    pytest.param("sweep-field", {"observe_efolds": "200"},
+                 ("observe_efolds", "samples_per_cycle"), id="sweep-field"),
+    # 14 M samples at the highest calibration field
+    pytest.param("calibrate", {"samples_per_cycle": "1e5"},
+                 ("samples_per_cycle",), id="calibrate"),
+    # 6.4 M samples at every grid point
+    pytest.param("spectrum", {"method": "demodulated",
+                              "demod_periods": "2e5"},
+                 ("demod_periods", "samples_per_cycle"), id="spectrum"),
+])
+def test_oversized_record_exits_config_before_evolving(
+        tmp_path, capsys, monkeypatch, command, overrides, knobs):
     import nobleline.dynamics as dynamics
+    import nobleline.experiments as experiments
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a record was evolved before the size check")
+        raise AssertionError("a record was built before the size check")
 
     monkeypatch.setattr(dynamics, "evolve_exact", unreachable)
+    for name in ("fit_decaying_sinusoid", "stokes_time_series",
+                 "heterodyne_extract"):
+        monkeypatch.setattr(experiments, name, unreachable)
     sections = preset_sections()
-    # 4.5 M samples at the preset's 6.1 mG, 55 M at the sweep's 40 mG
-    sections["scenario"]["observe_efolds"] = "200"
+    sections["scenario"].update(overrides)
     code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("nobleline: error: config:")
     assert err.count("\n") == 1
-    assert "observe_efolds" in err and "samples_per_cycle" in err
+    assert all(knob in err for knob in knobs), err

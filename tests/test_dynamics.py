@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nobleline.dynamics import (Segment, SidebandResponse, SpinState,
-                                evolve_exact, exact_linear_response,
-                                excite_and_readout, integrate_bloch,
-                                magnetic_pulse_transient, segment_drive,
-                                slow_mode, tilt_state)
+                                _expand_ramps, _Modes, evolve_exact,
+                                exact_linear_response, excite_and_readout,
+                                integrate_bloch, magnetic_pulse_transient,
+                                segment_drive, slow_mode, tilt_state)
 from nobleline.model import TWO_PI, SystemParams, ValidityError, derive_larmor
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import alkali_coherence, line_center, noble_coherence
@@ -167,6 +167,95 @@ def test_evolve_exact_particular_singular_raises():
     with pytest.raises(ValidityError):
         evolve_exact(sys, [Segment(duration=1.0, amplitude=1.0 + 0.0j,
                                    omega=105.0)], SpinState())
+    with pytest.raises(ValidityError):
+        evolve_exact(sys, [Segment(duration=1.0, amplitude=1.0 + 0.0j,
+                                   omega=105.0, ramp=0.2)], SpinState())
+    # one driven row is enough to raise; an undriven batch has no response
+    modes = _Modes(sys)
+    with pytest.raises(ValidityError):
+        modes.particular([0.0, 0.0j, 1e-3], 105.0)
+    for u in modes.particular([0.0, 0.0j], 105.0):
+        assert u.shape == (2, 2) and not u.any()
+
+
+def _solve_one(modes, amplitude, omega):
+    """The particular solution of one amplitude by two plain solves."""
+    if amplitude == 0:
+        return np.zeros(2, dtype=complex), np.zeros(2, dtype=complex)
+    w = TWO_PI * omega
+    d_plus = np.array([1j * TWO_PI * modes.drive_coeff * amplitude / 2.0,
+                       0.0])
+    d_minus = np.array([1j * TWO_PI * modes.drive_coeff
+                        * np.conj(amplitude) / 2.0, 0.0])
+    return (np.linalg.solve(modes.matrix + 1j * w * np.eye(2), -d_plus),
+            np.linalg.solve(modes.matrix - 1j * w * np.eye(2), -d_minus))
+
+
+def test_particular_batch_matches_one_solve_per_amplitude():
+    # a drive coefficient other than 1 makes the rounding order matter
+    modes = _Modes(fast_system(tilt_coeff=0.37, alkali_polarization=0.7))
+    amps = [0.0, 0.7, 0.0j, -0.3 + 0.4j, 2.5e-4j, 1.0 + 0.0j,
+            np.complex128(-0.9 - 1e-3j)]
+    u_plus, u_minus = modes.particular(amps, 31.0)
+    assert u_plus.shape == u_minus.shape == (len(amps), 2)
+    for k, amp in enumerate(amps):
+        plus, minus = _solve_one(modes, amp, 31.0)
+        assert u_plus[k].tobytes() == plus.tobytes(), amp
+        assert u_minus[k].tobytes() == minus.tobytes(), amp
+
+
+def _evolve_per_substep(system, segments, initial, sample_rate):
+    """evolve_exact written out one constant-amplitude stretch at a time,
+    each with its own solve, sample grid and exponentials."""
+    modes = _Modes(system)
+    state = np.array([initial.f, initial.r], dtype=complex)
+    ts_out, ys_out, t_base = [np.array([0.0])], [state[None, :].copy()], 0.0
+    for seg in segments:
+        for dur, amp, omega, offset in _expand_ramps(seg):
+            if offset:
+                amp = amp * np.exp(-1j * TWO_PI * omega * offset)
+            u_plus, u_minus = _solve_one(modes, amp, omega)
+            w = TWO_PI * omega
+            coeffs = modes.inverse @ (state - (u_plus + u_minus))
+            if sample_rate and dur * sample_rate >= 2.0:
+                n = int(math.floor(dur * sample_rate))
+                t_loc = np.arange(1, n + 1) / sample_rate
+                if t_loc[-1] < dur:
+                    t_loc = np.append(t_loc, dur)
+                else:
+                    t_loc[-1] = dur
+            else:
+                t_loc = np.array([dur])
+            decay = np.exp(np.outer(t_loc, modes.eigvals))
+            ys = decay * coeffs[np.newaxis, :] @ modes.vectors.T
+            if amp != 0:
+                ys += (np.exp(-1j * w * t_loc)[:, None] * u_plus[None, :]
+                       + np.exp(1j * w * t_loc)[:, None] * u_minus[None, :])
+            state = ys[-1].copy()
+            ts_out.append(t_base + t_loc)
+            ys_out.append(ys)
+            t_base += dur
+    return np.concatenate(ts_out), np.concatenate(ys_out, axis=0)
+
+
+@pytest.mark.parametrize("sample_rate", [None, 2048.0])
+def test_ramped_evolution_matches_per_substep_loop(sample_rate):
+    # the batched solve and the grids shared by equal-length substeps must
+    # reproduce the stretch-by-stretch evolution bit for bit; the second
+    # pulse is all edge, with no flat stretch between its ramps
+    sys = fast_system(tilt_coeff=0.37, alkali_polarization=0.7)
+    segments = [Segment(duration=0.4, amplitude=0.7 - 0.2j, omega=31.0,
+                        ramp=0.1),
+                Segment(duration=0.05),
+                Segment(duration=0.3, amplitude=-0.4 + 0.9j, omega=28.5,
+                        ramp=0.15)]
+    initial = SpinState(0.1, -0.2, 0.3, 0.05)
+    traj = evolve_exact(sys, segments, initial, sample_rate=sample_rate)
+    times, ys = _evolve_per_substep(sys, segments, initial, sample_rate)
+    assert traj.times.tobytes() == times.tobytes()
+    for name, column in (("f_x", ys[:, 0].real), ("f_y", ys[:, 0].imag),
+                         ("r_x", ys[:, 1].real), ("r_y", ys[:, 1].imag)):
+        assert getattr(traj, name).tobytes() == column.tobytes(), name
 
 
 def test_sideband_state_matches_settled_trajectory():
