@@ -423,6 +423,9 @@ def run_calibration(bundle: Bundle) -> ScanResult:
 
     true_g = bundle.magnetics.alkali_gyromagnetic
     true_gamma = system.gamma_a
+    if true_gamma == 0.0:
+        raise ConfigError("calibrate needs gamma_a > 0: its records span two "
+                          "alkali decay e-folds")
     duration = 2.0 / (TWO_PI * true_gamma)
     omegas = [true_g * (b - bundle.magnetics.noble_emf) for b in cal_fields]
     rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]

@@ -75,6 +75,50 @@ def _ci(value: float, se: float, dof: int) -> tuple[float, float]:
     return value - h, value + h
 
 
+def _normal_inverse(jac: np.ndarray, r: np.ndarray):
+    """dof, residual variance sigma2 and (J^T J)^-1 of a least-squares fit;
+    sigma2 and the inverse are all-inf when J^T J is singular."""
+    n, k = jac.shape
+    dof = n - k
+    try:
+        unscaled = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:   # sigma2 inf too: 0 * inf is NaN
+        return dof, math.inf, np.full((k, k), np.inf)
+    sigma2 = float(r @ r) / dof if dof > 0 else 0.0
+    return dof, sigma2, unscaled
+
+
+def _trf(resid, x0, jac, label: str) -> np.ndarray:
+    """Trust-region least squares to the float64 floor; the solution."""
+    # looked up per call: bench/tracer.py wraps scipy.optimize.least_squares
+    from scipy.optimize import least_squares
+
+    sol = least_squares(resid, x0=x0, jac=jac, method="trf", xtol=1e-14,
+                        ftol=1e-14, gtol=1e-14, max_nfev=5000)
+    if not sol.success:
+        raise FitConvergenceError(f"{label} fit failed: {sol.message}",
+                                  last_params=sol.x)
+    return sol.x
+
+
+class _Reported:
+    """A fit result's `*_fit.json` entry, from the class constants MODEL,
+    PARAMETERS (in order; a parameter carries ci_low/ci_high when the class
+    has a `<name>_ci` field) and FLAGS."""
+
+    def report(self) -> dict:
+        rows = []
+        for name in self.PARAMETERS:
+            row = {"parameter": name, "value": float(getattr(self, name))}
+            ci = getattr(self, f"{name}_ci", None)
+            if ci is not None:
+                row.update(ci_low=float(ci[0]), ci_high=float(ci[1]))
+            rows.append(row)
+        return {"model": self.MODEL, "n_points": int(self.n_points),
+                "residual_rms": float(self.residual_rms), "parameters": rows,
+                "flags": {k: bool(getattr(self, k)) for k in self.FLAGS}}
+
+
 @dataclass(frozen=True)
 class HarmonicFit:
     """Least-squares single-tone extraction a*cos + b*sin + c at known omega."""
@@ -85,8 +129,6 @@ class HarmonicFit:
     offset: float        # c
     amplitude: float
     phase: float         # radians, x(t) = A*cos(2*pi*f*t + phase)
-    amplitude_ci: tuple[float, float]
-    phase_ci: tuple[float, float]
     residual_rms: float
     n_points: int
 
@@ -95,14 +137,6 @@ class HarmonicFit:
         """Spectral amplitude a + i*b (equals A*exp(-i*phase))."""
         return complex(self.in_phase, self.quadrature)
 
-    def report(self) -> dict:
-        return _report("harmonic", self, [
-            ("amplitude", self.amplitude, self.amplitude_ci),
-            ("phase", self.phase, self.phase_ci),
-            ("offset", self.offset, None),
-            ("frequency", self.frequency, None),
-        ])
-
 
 def heterodyne_extract(times: np.ndarray, series: np.ndarray,
                        omega: float) -> HarmonicFit:
@@ -110,8 +144,7 @@ def heterodyne_extract(times: np.ndarray, series: np.ndarray,
 
     Linear least squares on [cos, sin, 1]; the window must span at least
     MIN_DEMOD_PERIODS beat periods so the three regressors decorrelate.
-    Confidence intervals come from the regression covariance with the
-    delta method for (A, phase).
+    The extraction is a point estimate: it carries no intervals.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -127,32 +160,19 @@ def heterodyne_extract(times: np.ndarray, series: np.ndarray,
     coef, _, _, _ = np.linalg.lstsq(design, series, rcond=None)
     a, b, c = (float(v) for v in coef)
     resid = series - design @ coef
-    n = times.size
-    dof = n - 3
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-
-    amp = math.hypot(a, b)
-    phase = math.atan2(-b, a)
-    if amp > 0:
-        # delta method: A = hypot(a, b), phi = atan2(-b, a)
-        g_amp = np.array([a / amp, b / amp])
-        g_phi = np.array([b / amp**2, -a / amp**2])
-        se_amp = math.sqrt(max(float(g_amp @ cov[:2, :2] @ g_amp), 0.0))
-        se_phi = math.sqrt(max(float(g_phi @ cov[:2, :2] @ g_phi), 0.0))
-    else:
-        se_amp = math.sqrt(max(cov[0, 0], cov[1, 1], 0.0))
-        se_phi = math.pi
     return HarmonicFit(
         frequency=omega, in_phase=a, quadrature=b, offset=c,
-        amplitude=amp, phase=phase,
-        amplitude_ci=_ci(amp, se_amp, dof), phase_ci=_ci(phase, se_phi, dof),
-        residual_rms=float(np.sqrt(np.mean(resid**2))), n_points=n)
+        amplitude=math.hypot(a, b), phase=math.atan2(-b, a),
+        residual_rms=float(np.sqrt(np.mean(resid**2))), n_points=times.size)
 
 
 @dataclass(frozen=True)
-class LineFit:
+class LineFit(_Reported):
     """Inverted-Lorentzian dip fit y = baseline*(1 - C*g^2/((x-x0)^2 + g^2))."""
+
+    MODEL = "inverted_lorentzian"
+    PARAMETERS = ("center", "half_width", "contrast", "baseline")
+    FLAGS = ("degenerate",)
 
     center: float
     half_width: float
@@ -166,14 +186,6 @@ class LineFit:
     n_points: int
     degenerate: bool
 
-    def report(self) -> dict:
-        return _report("inverted_lorentzian", self, [
-            ("center", self.center, self.center_ci),
-            ("half_width", self.half_width, self.half_width_ci),
-            ("contrast", self.contrast, self.contrast_ci),
-            ("baseline", self.baseline, self.baseline_ci),
-        ], flags={"degenerate": self.degenerate})
-
 
 def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
     """Fit a Lorentzian power dip on a flat baseline.
@@ -183,8 +195,6 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
     Jacobian. `degenerate` marks fits whose width is unresolved (wider than
     the scanned span, or with a confidence interval swallowing the value).
     """
-    from scipy.optimize import least_squares
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 5:
@@ -224,27 +234,15 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
             1.0 - c * lor,
         ])
 
-    sol = least_squares(resid, x0=[x0_0, g0, c0, base0], jac=jac,
-                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=5000)
-    if not sol.success:
-        raise FitConvergenceError(f"line fit failed: {sol.message}",
-                                  last_params=sol.x)
-    x0, g, c, b = unpack(sol.x)
-    n = x.size
-    dof = n - 4
-    r = resid(sol.x)
-    sigma2 = float(r @ r) / dof if dof > 0 else 0.0
+    p = _trf(resid, [x0_0, g0, c0, base0], jac, "line")
+    x0, g, c, b = unpack(p)
+    r = resid(p)
+    dof, sigma2, unscaled = _normal_inverse(jac(p), r)
     # a zero residual would make the interval tests below vacuous (flat
     # input fits a 1e-17 dip exactly), so they assume at least roundoff noise
     floor2 = max(sigma2, (np.finfo(float).eps * float(np.max(np.abs(y))))**2)
-    jtj = jac(sol.x)
-    try:
-        unscaled = np.linalg.inv(jtj.T @ jtj)
-        ses = np.sqrt(np.clip(np.diag(sigma2 * unscaled), 0.0, None))
-        ses_test = np.sqrt(np.clip(np.diag(floor2 * unscaled), 0.0, None))
-    except np.linalg.LinAlgError:
-        ses = ses_test = np.full(4, np.inf)
+    ses = np.sqrt(np.clip(np.diag(sigma2 * unscaled), 0.0, None))
+    ses_test = np.sqrt(np.clip(np.diag(floor2 * unscaled), 0.0, None))
     span = float(x.max() - x.min())
     tq = _t_quantile(dof)
     degenerate = bool(g > span or not np.isfinite(ses_test[1])
@@ -256,17 +254,21 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
         half_width_ci=_ci(g, float(ses[1]), dof),
         contrast_ci=_ci(c, float(ses[2]), dof),
         baseline_ci=_ci(b, float(ses[3]), dof),
-        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=n,
+        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=x.size,
         degenerate=degenerate)
 
 
 @dataclass(frozen=True)
-class SinusoidFit:
+class SinusoidFit(_Reported):
     """Decaying-sinusoid fit A*exp(-2*pi*g*t)*cos(2*pi*f*t + phase) + offset.
 
     decay_rate follows the package rate convention: the envelope e-folds in
     1/(2*pi*decay_rate) seconds.
     """
+
+    MODEL = "decaying_sinusoid"
+    PARAMETERS = ("amplitude", "decay_rate", "frequency", "phase", "offset")
+    FLAGS = ("ambiguous_decay",)
 
     amplitude: float
     decay_rate: float
@@ -280,15 +282,6 @@ class SinusoidFit:
     residual_rms: float
     n_points: int
     ambiguous_decay: bool
-
-    def report(self) -> dict:
-        return _report("decaying_sinusoid", self, [
-            ("amplitude", self.amplitude, self.amplitude_ci),
-            ("decay_rate", self.decay_rate, self.decay_rate_ci),
-            ("frequency", self.frequency, self.frequency_ci),
-            ("phase", self.phase, self.phase_ci),
-            ("offset", self.offset, None),
-        ], flags={"ambiguous_decay": self.ambiguous_decay})
 
 
 def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
@@ -306,8 +299,6 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     transient record the fast alkali mode, left out of the one-mode model,
     biases the decay rate by up to 3.5 half-widths (8 mG, 32 per cycle).
     """
-    from scipy.optimize import least_squares
-
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size != y.size or t.size < 16:
@@ -383,25 +374,14 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         dc[:] = 1.0
         return out
 
-    sol = least_squares(resid, x0=[amp0, 0.0, g00, f0, float(np.mean(y))],
-                        jac=jac, method="trf",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000)
-    if not sol.success:
-        raise FitConvergenceError(f"sinusoid fit failed: {sol.message}",
-                                  last_params=sol.x)
-    a, b, g, f, c = sol.x
+    a, b, g, f, c = _trf(resid, [amp0, 0.0, g00, f0, float(np.mean(y))],
+                         jac, "sinusoid")
     if f < 0:       # reflect to the positive-frequency representative
         f, b = -f, -b
     g = abs(g)
-    n = t.size
-    dof = n - 5
     r = resid([a, b, g, f, c])
-    sigma2 = float(r @ r) / dof if dof > 0 else 0.0
-    jm = jac([a, b, g, f, c])
-    try:
-        cov = sigma2 * np.linalg.inv(jm.T @ jm)
-    except np.linalg.LinAlgError:
-        cov = np.full((5, 5), np.inf)
+    dof, sigma2, unscaled = _normal_inverse(jac([a, b, g, f, c]), r)
+    cov = sigma2 * unscaled
     # refer both envelope amplitude and phase back to t = 0
     scale = math.exp(TWO_PI * g * t0)
     amp = math.hypot(a, b) * scale
@@ -429,13 +409,17 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         decay_rate_ci=_ci(g, float(se[2]), dof),
         frequency_ci=_ci(f, float(se[3]), dof),
         phase_ci=_ci(phase, se_phi, dof),
-        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=n,
+        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=t.size,
         ambiguous_decay=ambiguous)
 
 
 @dataclass(frozen=True)
-class LinearFit:
+class LinearFit(_Reported):
     """Ordinary least-squares line with the x-axis crossing and its CI."""
+
+    MODEL = "linear"
+    PARAMETERS = ("slope", "intercept", "x_intercept")
+    FLAGS = ("x_intercept_defined",)
 
     slope: float
     intercept: float
@@ -446,13 +430,6 @@ class LinearFit:
     residual_rms: float
     n_points: int
     x_intercept_defined: bool
-
-    def report(self) -> dict:
-        return _report("linear", self, [
-            ("slope", self.slope, self.slope_ci),
-            ("intercept", self.intercept, self.intercept_ci),
-            ("x_intercept", self.x_intercept, self.x_intercept_ci),
-        ], flags={"x_intercept_defined": self.x_intercept_defined})
 
 
 def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -469,10 +446,8 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     s, i = (float(v) for v in coef)
     r = y - design @ coef
-    n = x.size
-    dof = n - 2
-    sigma2 = float(r @ r) / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    dof, sigma2, unscaled = _normal_inverse(design, r)
+    cov = sigma2 * unscaled
     se_s, se_i = math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
     slope_ci = _ci(s, se_s, dof)
     defined = not (slope_ci[0] <= 0.0 <= slope_ci[1]) and s != 0.0
@@ -486,20 +461,6 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
         slope=s, intercept=i, x_intercept=x_int,
         slope_ci=slope_ci, intercept_ci=_ci(i, se_i, dof),
         x_intercept_ci=_ci(x_int, se_x, dof),
-        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=n,
+        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=x.size,
         x_intercept_defined=defined)
 
-
-def _report(model: str, fit, params, flags: dict | None = None) -> dict:
-    rows = []
-    for name, value, ci in params:
-        row = {"parameter": name, "value": float(value)}
-        if ci is not None:
-            row["ci_low"] = float(ci[0])
-            row["ci_high"] = float(ci[1])
-        rows.append(row)
-    out = {"model": model, "n_points": int(fit.n_points),
-           "residual_rms": float(fit.residual_rms), "parameters": rows}
-    if flags:
-        out["flags"] = {k: bool(v) for k, v in flags.items()}
-    return out

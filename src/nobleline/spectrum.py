@@ -119,6 +119,9 @@ class LineShape:
 
 def _depth_prefactor(system: SystemParams, optics: OpticalParams) -> float:
     # (p_a * OD / 2) * (gamma'_a / gamma_a); multiply by (gamma - gamma_b)/gamma
+    if system.gamma_a == 0.0:
+        raise ValidityError("no absorption line: gamma_a is zero, so the "
+                            "depth gamma'_a/gamma_a is undefined")
     return (system.alkali_polarization * optics.optical_depth / 2.0) \
         * (optics.scattering_rate / system.gamma_a)
 

@@ -285,6 +285,27 @@ def test_undersampled_records_exit_config(tmp_path, capsys, command,
     assert not out.exists() or command == "spectrum" and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, code, kind", [
+    ("calibrate", EXIT_CONFIG, "config"),
+    ("spectrum", EXIT_VALIDITY, "validity"),
+    ("derive-params", EXIT_VALIDITY, "validity"),
+], ids=["calibrate", "spectrum", "derive-params"])
+def test_undamped_alkali_exits_with_one_error_line(tmp_path, capsys, command,
+                                                   code, kind):
+    # gamma_a = 0 leaves calibrate's record length and the line depth
+    # gamma'_a/gamma_a undefined; each must be refused, not divided by
+    sections = preset_sections()
+    sections["system"]["gamma_a"] = "0"
+    argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]
+    if command != "derive-params":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"nobleline: error: {kind}:")
+    assert err.count("\n") == 1
+    assert "gamma_a" in err
+
+
 def test_undersampled_spectrum_names_a_sampling_that_works(tmp_path, capsys):
     sections = preset_sections()
     sections["scenario"].update(samples_per_cycle="4.001",

@@ -13,11 +13,13 @@ from its own packaged preset with a few [scenario] overrides:
 - calibrate;
 
 each at seeds 1 and 20260819, three files per run: 54 files per side.
-The tool prints one `DIFF <case>/<file>` line for each file that differs or
-is missing on one side, and one `FAIL <side> <case>` line for each run that
-exits non-zero. It exits 1 if there was any, else 0. Both sides together
-take about two minutes on a 2-vCPU x86-64 VM, most of it in the
-sweep-field and calibrate runs.
+It also compares each side's stdout of `check-config` and `derive-params`
+on the packaged preset. The tool prints one `DIFF <case>/<file>` or
+`DIFF stdout/<command>` line for each output that differs or is missing on
+one side, and one `FAIL <side> <case>` line for each run that exits
+non-zero. It exits 1 if there was any, else 0. Both sides together take
+about two minutes on a 2-vCPU x86-64 VM, most of it in the sweep-field and
+calibrate runs.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ CASES = {
     "calibrate": ("calibrate", {}),
 }
 
+# commands whose stdout is compared, run on the packaged preset
+STDOUT_COMMANDS = ("check-config", "derive-params")
+
 
 def write_config(src: Path, overrides: dict, path: Path) -> None:
     """The side's packaged preset with [scenario] overrides, as an INI."""
@@ -72,13 +77,22 @@ def run_side(src: Path, work: Path, case: str, seed: int) -> tuple[Path, str]:
     out.mkdir(parents=True)
     config = out.with_suffix(".ini")
     write_config(src, overrides, config)
+    done = run_cli(src, command, "--config", str(config), "--out", str(out),
+                   "--seed", str(seed), "--quiet")
+    return out, failure(done)
+
+
+def run_cli(src: Path, *argv: str) -> subprocess.CompletedProcess:
+    """One CLI run in a fresh interpreter with PYTHONPATH set to src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "nobleline.cli", command, "--config",
-         str(config), "--out", str(out), "--seed", str(seed), "--quiet"],
-        env=env, capture_output=True, text=True)
-    return out, ("" if done.returncode == 0
-                 else done.stderr.strip() or f"exit {done.returncode}")
+    return subprocess.run([sys.executable, "-m", "nobleline.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def failure(done: subprocess.CompletedProcess) -> str:
+    """A failed run's stderr (or exit code); empty for a run that passed."""
+    return ("" if done.returncode == 0
+            else done.stderr.strip() or f"exit {done.returncode}")
 
 
 def main(argv=None) -> int:
@@ -114,7 +128,18 @@ def main(argv=None) -> int:
                             and a.read_bytes() == b.read_bytes()):
                         problems += 1
                         print(f"DIFF {rel}")
-    print(f"compared {compared} files: "
+    for command in STDOUT_COMMANDS:
+        stdouts = set()
+        for name, src in sides.items():
+            done = run_cli(src, command)
+            stdouts.add(done.stdout)
+            if err := failure(done):
+                problems += 1
+                print(f"FAIL {name} {command}: {err.splitlines()[-1]}")
+        if len(stdouts) > 1:
+            problems += 1
+            print(f"DIFF stdout/{command}")
+    print(f"compared {compared} files and {len(STDOUT_COMMANDS)} stdouts: "
           f"{'no differences' if not problems else f'{problems} problems'}")
     return 1 if problems else 0
 
