@@ -432,14 +432,17 @@ def run_calibration(bundle: Bundle) -> ScanResult:
     _check_record_sizes(sc, [int(duration * fs) for fs in rates],
                         ("samples_per_cycle",))
     rngs = _streams(sc.seed, sc.trials)
+    # each field's grid and noiseless record serve every trial
+    clean_records = []
+    for omega_a, fs in zip(omegas, rates):
+        t = np.arange(int(duration * fs)) / fs
+        clean_records.append((t, np.exp(-TWO_PI * true_gamma * t)
+                              * np.cos(TWO_PI * omega_a * t)))
 
     def one_trial(trial: int, rng) -> dict:
         freq_hat, freq_b = [], []
         gam_hat, gam_var = [], []
-        for b_field, omega_a, fs in zip(cal_fields, omegas, rates):
-            t = np.arange(int(duration * fs)) / fs
-            record = np.exp(-TWO_PI * true_gamma * t) \
-                * np.cos(TWO_PI * omega_a * t)
+        for b_field, (t, record) in zip(cal_fields, clean_records):
             if rng is not None:
                 record = record + rng.normal(0.0, noise, size=t.shape)
             with warnings.catch_warnings():

@@ -75,6 +75,15 @@ def _ci(value: float, se: float, dof: int) -> tuple[float, float]:
     return value - h, value + h
 
 
+def _delta_se(grad: np.ndarray, cov: np.ndarray) -> float:
+    """Delta-method standard error sqrt(grad . cov . grad); inf when cov is
+    not finite (singular J^T J), where the product meets 0 * inf or
+    inf - inf and would give NaN."""
+    if not np.all(np.isfinite(cov)):
+        return math.inf
+    return math.sqrt(max(float(grad @ cov @ grad), 0.0))
+
+
 def _normal_inverse(jac: np.ndarray, r: np.ndarray):
     """dof, residual variance sigma2 and (J^T J)^-1 of a least-squares fit;
     sigma2 and the inverse are all-inf when J^T J is singular."""
@@ -88,17 +97,140 @@ def _normal_inverse(jac: np.ndarray, r: np.ndarray):
     return dof, sigma2, unscaled
 
 
-def _trf(resid, x0, jac, label: str) -> np.ndarray:
-    """Trust-region least squares to the float64 floor; the solution."""
-    # looked up per call: bench/tracer.py wraps scipy.optimize.least_squares
-    from scipy.optimize import least_squares
+#: xtol = ftol = gtol of the trust-region fits, and their evaluation budget
+_TRF_TOL = 1e-14
+_TRF_MAX_NFEV = 5000
 
-    sol = least_squares(resid, x0=x0, jac=jac, method="trf", xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14, max_nfev=5000)
-    if not sol.success:
-        raise FitConvergenceError(f"{label} fit failed: {sol.message}",
-                                  last_params=sol.x)
-    return sol.x
+
+def _norm(v: np.ndarray):
+    """np.linalg.norm of a real vector, the same sqrt(v.v), without its
+    argument handling (~30,000 calls in a calibrate run)."""
+    return np.sqrt(v.dot(v))
+
+
+def _more_step(uf, s, V, full_rank, Delta, alpha):
+    """Moré's trust-region step from one SVD J = U diag(s) V^T, uf = U^T f:
+    the Gauss-Newton step when J has full rank and that step fits inside
+    Delta, else the step of norm Delta with its Levenberg-Marquardt
+    parameter alpha, found to 1 % in at most 10 safeguarded Newton
+    iterations (LNM 630, 1977). Returns (step, alpha); the expressions
+    follow scipy's `solve_lsq_trust_region`."""
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf ** 2 / denom**3) / p_norm
+
+    suf = s * uf
+    if full_rank:
+        p = -V.dot(uf / s)
+        if _norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = _norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= Delta / _norm(p)
+    return p, alpha
+
+
+def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
+    """Trust-region least squares to the float64 floor: (x, nfev, njev).
+
+    This is the unbounded Trust Region Reflective loop of Branch, Coleman &
+    Li (SIAM J. Sci. Comput. 1999) with Moré's exact step, as scipy's
+    nonlinear least-squares solver runs it with method="trf", xtol = ftol =
+    gtol = 1e-14 and max_nfev = 5000: unit x_scale, no loss, the same
+    operations in the same order, the radius cut to a quarter of the step
+    when a trial residual is not finite.
+    Checked against scipy 1.17.1, it returns the same x bits and nfev.
+    It skips the Jacobian scipy evaluates after the terminating step, so
+    njev counts the Jacobians actually evaluated. The SVD stays
+    `scipy.linalg.svd`: its U and V^T are Fortran-ordered, and BLAS sums
+    U^T f and V (.) in layout order, so numpy's C-ordered factors of the
+    same values send the fit down another path from its first step.
+    Raises FitConvergenceError when the residual at x0 is not finite or the
+    evaluation budget runs out.
+    """
+    from scipy.linalg import svd
+
+    x = np.array(x0, dtype=float)
+    f = resid(x)
+    if not np.isfinite(f).all():
+        raise FitConvergenceError(f"{label} fit failed: Residuals are not "
+                                  "finite in the initial point.", last_params=x)
+    J = jac(x)
+    nfev = njev = 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = _norm(x)
+    if Delta == 0:
+        Delta = 1.0
+    alpha = 0.0
+    while not np.abs(g).max() < _TRF_TOL:
+        if nfev == _TRF_MAX_NFEV:
+            raise FitConvergenceError(
+                f"{label} fit failed: The maximum number of function "
+                "evaluations is exceeded.", last_params=x)
+        U, s, Vt = svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
+        reduction, done = -1, False
+        while reduction <= 0 and nfev < _TRF_MAX_NFEV:
+            step, alpha = _more_step(uf, s, Vt.T, full_rank, Delta, alpha)
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = resid(x_new)
+            nfev += 1
+            step_norm = _norm(step)
+            if not np.isfinite(f_new).all():
+                Delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            elif predicted == reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new = Delta * 2.0
+            done = (reduction < _TRF_TOL * cost and ratio > 0.25
+                    or step_norm < _TRF_TOL * (_TRF_TOL + _norm(x)))
+            if done:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            if not done:
+                J = jac(x)
+                njev += 1
+                g = J.T.dot(f)
+        if done:
+            break
+    return x, nfev, njev
 
 
 class _Reported:
@@ -185,6 +317,8 @@ class LineFit(_Reported):
     residual_rms: float
     n_points: int
     degenerate: bool
+    nfev: int       # residual evaluations of the trust-region loop
+    njev: int       # Jacobian evaluations
 
 
 def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
@@ -234,7 +368,7 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
             1.0 - c * lor,
         ])
 
-    p = _trf(resid, [x0_0, g0, c0, base0], jac, "line")
+    p, nfev, njev = _trf(resid, [x0_0, g0, c0, base0], jac, "line")
     x0, g, c, b = unpack(p)
     r = resid(p)
     dof, sigma2, unscaled = _normal_inverse(jac(p), r)
@@ -255,7 +389,7 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
         contrast_ci=_ci(c, float(ses[2]), dof),
         baseline_ci=_ci(b, float(ses[3]), dof),
         residual_rms=float(np.sqrt(np.mean(r**2))), n_points=x.size,
-        degenerate=degenerate)
+        degenerate=degenerate, nfev=nfev, njev=njev)
 
 
 @dataclass(frozen=True)
@@ -282,6 +416,8 @@ class SinusoidFit(_Reported):
     residual_rms: float
     n_points: int
     ambiguous_decay: bool
+    nfev: int       # residual evaluations of the trust-region loop
+    njev: int       # Jacobian evaluations
 
 
 def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
@@ -374,8 +510,8 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         dc[:] = 1.0
         return out
 
-    a, b, g, f, c = _trf(resid, [amp0, 0.0, g00, f0, float(np.mean(y))],
-                         jac, "sinusoid")
+    (a, b, g, f, c), nfev, njev = _trf(
+        resid, [amp0, 0.0, g00, f0, float(np.mean(y))], jac, "sinusoid")
     if f < 0:       # reflect to the positive-frequency representative
         f, b = -f, -b
     g = abs(g)
@@ -390,10 +526,10 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     if amp > 0:
         g_amp = scale * np.array([a / math.hypot(a, b), b / math.hypot(a, b),
                                   TWO_PI * t0 * math.hypot(a, b), 0.0, 0.0])
-        se_amp = math.sqrt(max(float(g_amp @ cov @ g_amp), 0.0))
+        se_amp = _delta_se(g_amp, cov)
         ab2 = a * a + b * b
         g_phi = np.array([b / ab2, -a / ab2, 0.0, -TWO_PI * t0, 0.0])
-        se_phi = math.sqrt(max(float(g_phi @ cov @ g_phi), 0.0))
+        se_phi = _delta_se(g_phi, cov)
     else:
         se_amp, se_phi = math.inf, math.pi
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -410,7 +546,7 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         frequency_ci=_ci(f, float(se[3]), dof),
         phase_ci=_ci(phase, se_phi, dof),
         residual_rms=float(np.sqrt(np.mean(r**2))), n_points=t.size,
-        ambiguous_decay=ambiguous)
+        ambiguous_decay=ambiguous, nfev=nfev, njev=njev)
 
 
 @dataclass(frozen=True)
@@ -453,8 +589,7 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
     defined = not (slope_ci[0] <= 0.0 <= slope_ci[1]) and s != 0.0
     if s != 0.0:
         x_int = -i / s
-        grad = np.array([i / s**2, -1.0 / s])
-        se_x = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+        se_x = _delta_se(np.array([i / s**2, -1.0 / s]), cov)
     else:
         x_int, se_x = math.nan, math.inf
     return LinearFit(

@@ -39,6 +39,16 @@ def preset_sections():
     return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
+def _fresh_interpreter_stdout(script):
+    """Run `script` in a new interpreter on this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(nobleline.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.parametrize("command", [None, "check-config", "derive-params"])
 def test_import_and_config_commands_load_no_scipy(command):
     # scipy serves only the fits; importing it costs about half a cold start
@@ -48,12 +58,25 @@ def test_import_and_config_commands_load_no_scipy(command):
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    f"    assert nobleline.cli.main([{command!r}]) == 0\n")
     script += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    src = os.path.dirname(os.path.dirname(nobleline.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert _fresh_interpreter_stdout(script) == "[]\n"
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("transient", {}), ("spectrum", {"method": "demodulated"})],
+    ids=["transient", "spectrum-demodulated"])
+def test_fit_commands_load_no_scipy_optimize(tmp_path, command, scenario):
+    # the fits run their own trust-region loop; scipy.linalg (its SVD) and
+    # scipy.special (the t quantile) may load, scipy.optimize may not
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    argv = [command, "--config", write_ini(tmp_path / "f.ini", sections),
+            "--out", str(tmp_path / "out"), "--quiet"]
+    script = ("import sys, nobleline.cli\n"
+              f"assert nobleline.cli.main({argv!r}) == 0\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.startswith('scipy.optimize')))\n")
+    assert _fresh_interpreter_stdout(script) == "[]\n"
+    assert (tmp_path / "out" / f"{command}_fit.json").exists()
 
 
 def test_check_config_on_preset(capsys):

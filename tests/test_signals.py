@@ -1,11 +1,17 @@
 """Waveform synthesis, heterodyne extraction, and the model fitters."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nobleline.model import TWO_PI, ValidityError, ValidityWarning
+from nobleline import signals
+from nobleline.model import (TWO_PI, FitConvergenceError, ValidityError,
+                             ValidityWarning)
 from nobleline.signals import (_normal_inverse, fit_decaying_sinusoid,
                                fit_inverted_lorentzian, fit_linear,
                                heterodyne_extract,
@@ -157,15 +163,13 @@ def test_sinusoid_residual_and_jacobian_match_the_direct_forms(monkeypatch):
     # the fitter's residual and Jacobian share one exp/cos/sin pass per
     # parameter vector; at any point, in any call order, each must equal
     # the direct expression bit for bit, or TRF would take another path
-    import scipy.optimize
+    real, seen = signals._trf, {}
 
-    real, seen = scipy.optimize.least_squares, {}
-
-    def spy(fun, x0, jac, **kwargs):
+    def spy(fun, x0, jac, label):
         seen.update(fun=fun, jac=jac)
-        return real(fun, x0, jac=jac, **kwargs)
+        return real(fun, x0, jac, label)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(signals, "_trf", spy)
     t = 0.5 + np.arange(0.0, 30.0, 1.0 / 96.0)
     y = np.exp(-TWO_PI * 0.02 * t) * np.cos(TWO_PI * 3.0 * t) + 0.01 * t
     fit_decaying_sinusoid(t, y)
@@ -192,6 +196,116 @@ def test_sinusoid_residual_and_jacobian_match_the_direct_forms(monkeypatch):
         assert _same_bits(seen["jac"](p), jm)
         assert _same_bits(seen["fun"](np.array(p)), r)
         assert _same_bits(seen["jac"](np.array(p)), jm)
+
+
+def _fit_problem(fit, *args):
+    """The (resid, x0, jac) that a fitter hands to its trust-region loop."""
+    with mock.patch.object(signals, "_trf", wraps=signals._trf) as spy, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        try:
+            fit(*args)
+        except FitConvergenceError:
+            pass
+    return spy.call_args.args[:3]
+
+
+def _assert_trf_matches_scipy(resid, x0, jac):
+    # scipy's least_squares is the oracle: the port must return the same x
+    # bits after the same number of residual evaluations, or fail the same
+    # way; njev counts the Jacobians it actually asked for
+    from scipy.optimize import least_squares
+
+    sol = least_squares(resid, x0=x0, jac=jac, method="trf", xtol=1e-14,
+                        ftol=1e-14, gtol=1e-14, max_nfev=5000)
+    calls = {"resid": 0, "jac": 0}
+
+    def counted(name, fn):
+        def call(p):
+            calls[name] += 1
+            return fn(p)
+        return call
+
+    args = (counted("resid", resid), x0, counted("jac", jac), "oracle")
+    if sol.success:
+        x, nfev, njev = signals._trf(*args)
+        assert (nfev, njev) == (calls["resid"], calls["jac"])
+    else:
+        with pytest.raises(FitConvergenceError) as err:
+            signals._trf(*args)
+        assert str(err.value) == f"oracle fit failed: {sol.message}"
+        x, nfev = err.value.last_params, calls["resid"]
+    assert _same_bits(x, sol.x)
+    assert nfev == sol.nfev
+
+
+noise_levels = st.sampled_from([0.0, 0.01, 0.3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.floats(0.5, 5.0), g=st.floats(0.0, 0.2),
+       per_cycle=st.floats(6.0, 40.0), cycles=st.floats(3.0, 60.0),
+       t0=st.floats(0.0, 5.0), phase=st.floats(-math.pi, math.pi),
+       offset=st.floats(-1.0, 1.0), noise=noise_levels,
+       seed=st.integers(0, 2**32 - 1))
+def test_trf_matches_scipy_on_sinusoid_records(f, g, per_cycle, cycles, t0,
+                                               phase, offset, noise, seed):
+    t = t0 + np.arange(0.0, cycles / f, 1.0 / (per_cycle * f))
+    y = np.exp(-TWO_PI * g * t) * np.cos(TWO_PI * f * t + phase) + offset
+    y = y + np.random.default_rng(seed).normal(0.0, noise, t.size)
+    _assert_trf_matches_scipy(*_fit_problem(fit_decaying_sinusoid, t, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(center=st.floats(-3.0, 3.0), width=st.floats(0.2, 4.0),
+       contrast=st.floats(0.05, 0.95), baseline=st.floats(0.5, 2.0),
+       shift=st.floats(-1.0, 1.0), n=st.integers(5, 60), noise=noise_levels,
+       seed=st.integers(0, 2**32 - 1))
+def test_trf_matches_scipy_on_lorentzian_records(center, width, contrast,
+                                                 baseline, shift, n, noise,
+                                                 seed):
+    # a scan of +-4 half-widths, off center by up to one
+    x = center + width * (shift + np.linspace(-4.0, 4.0, n))
+    y = baseline * (1.0 - contrast * width**2 / ((x - center)**2 + width**2))
+    depth = baseline * contrast
+    y = y + np.random.default_rng(seed).normal(0.0, 0.1 * noise * depth, n)
+    _assert_trf_matches_scipy(*_fit_problem(fit_inverted_lorentzian, x, y))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [0.3, -1.0], [2.0, 1.0]])
+def test_trf_matches_scipy_on_a_rank_deficient_jacobian(x0):
+    # p0 and p1 enter only as their sum: J has two equal columns, so every
+    # step comes from the alpha iteration with full_rank false
+    t = np.linspace(0.0, 1.0, 20)
+    y = 3.0 * t + 0.01 * np.sin(7.0 * t)
+
+    def resid(p):
+        return np.exp(p[0] + p[1]) * t - y
+
+    def jac(p):
+        return np.column_stack([np.exp(p[0] + p[1]) * t] * 2)
+
+    s = np.linalg.svd(jac(np.array(x0)), compute_uv=False)
+    assert s[-1] <= np.finfo(float).eps * t.size * s[0]
+    _assert_trf_matches_scipy(resid, x0, jac)
+
+
+def test_trf_residual_finite_only_at_x0_exhausts_the_budget():
+    # every trial point gives NaN: the radius shrinks by a quarter per
+    # evaluation until the step overflows to NaN, and the 5,000-evaluation
+    # budget runs out into FitConvergenceError with scipy's message
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    x0 = np.zeros(2)
+
+    def resid(p):
+        return a @ p - 1.0 if np.array_equal(p, x0) else np.full(3, np.nan)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_trf_matches_scipy(resid, x0, lambda p: a)
+    # started where the residual is not finite, _trf raises
+    # FitConvergenceError too, where scipy raises a bare ValueError
+    with pytest.raises(FitConvergenceError, match="not finite in the initial"):
+        signals._trf(resid, np.ones(2), lambda p: a, "oracle")
 
 
 def _line_fit():
@@ -249,16 +363,18 @@ def test_fit_report_schema(model):
     assert rep["flags"] == flags
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_normal_matrix_gives_infinite_intervals():
     # a zero residual must not turn the singular fallback into NaN (0 * inf)
     jac = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     dof, sigma2, unscaled = _normal_inverse(jac, np.zeros(3))
     assert dof == 1
     assert np.all(np.isposinf(sigma2 * unscaled))
-    # one repeated x leaves the slope unresolved: infinite, not an error
-    with np.errstate(invalid="ignore"):
-        fit = fit_linear(np.full(4, 2.0), np.arange(4.0))
-    assert fit.slope_ci == (-math.inf, math.inf)
+    # one repeated x leaves the slope unresolved: every interval infinite,
+    # with no error and no NaN from the delta method (0 * inf)
+    fit = fit_linear(np.full(4, 2.0), np.arange(4.0))
+    for ci in (fit.slope_ci, fit.intercept_ci, fit.x_intercept_ci):
+        assert ci == (-math.inf, math.inf)
     assert not fit.x_intercept_defined
 
 
