@@ -3,8 +3,8 @@
 The package models two coupled spin ensembles — an optically accessible
 alkali vapor and a noble gas with an hours-long coherence time — whose weak
 spin-exchange coupling lets light drive and read out the noble-gas
-resonance. It provides the closed-form steady-state response, exact and
-numerical time-domain evolution, the waveform/estimation layer, and five
+resonance. It provides the closed-form steady-state response, exact
+time-domain evolution, the waveform/estimation layer, and five
 end-to-end measurement protocols behind a CLI.
 
 All rates and frequencies follow a single convention described in
@@ -13,11 +13,10 @@ All rates and frequencies follow a single convention described in
 
 from .config import (Bundle, ScenarioConfig, config_from_mapping, load_config,
                      preset_path, scenario_with)
-from .dynamics import (ExciteResult, Segment, SidebandResponse, SpinState,
+from .dynamics import (ExciteResult, Segment, SidebandResponse,
                        SpinTrajectory, TransientResult, evolve_exact,
                        exact_linear_response, excite_and_readout,
-                       integrate_bloch, magnetic_pulse_transient, slow_mode,
-                       tilt_state)
+                       magnetic_pulse_transient, slow_mode, tilt_state)
 from .experiments import ScanResult, run_scenario
 from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     MagneticConfig, NoblelineError, OpticalParams,

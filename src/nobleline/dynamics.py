@@ -16,16 +16,16 @@ Equivalently, with f = F_x + i F_y and r = R_x + i R_y,
 
 which contains no conjugate coupling; the two drive sidebands therefore
 evolve independently, and piecewise-harmonic drives admit an exact
-eigenmode solution (evolve_exact), the only engine the protocol runners
-use. The adaptive integrator (integrate_bloch), driven by the same Segment
-list, is kept as an independent reference for checking it.
+eigenmode solution (evolve_exact), the only dynamics engine. A state is
+passed as the pair (f, r) of complex coherences. The adaptive integrator
+that checks the engine, driven by the same Segment list, lives with the
+tests (tests/bloch_oracle.py).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,32 +37,8 @@ from .spectrum import hybrid_linewidth, line_center
 TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """Instantaneous transverse spin components."""
-
-    f_x: float = 0.0
-    f_y: float = 0.0
-    r_x: float = 0.0
-    r_y: float = 0.0
-
-    @property
-    def f(self) -> complex:
-        return complex(self.f_x, self.f_y)
-
-    @property
-    def r(self) -> complex:
-        return complex(self.r_x, self.r_y)
-
-    @classmethod
-    def from_complex(cls, f: complex, r: complex) -> "SpinState":
-        return cls(f.real, f.imag, r.real, r.imag)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f_x, self.f_y, self.r_x, self.r_y], dtype=float)
-
-
-def tilt_state(amplitude: float, phase: float = 0.0) -> SpinState:
+def tilt_state(amplitude: float,
+               phase: float = 0.0) -> tuple[complex, complex]:
     """State left by a short magnetic tilt pulse on the noble-gas spin.
 
     The pulse is far shorter than every precession and decay time in the
@@ -70,8 +46,8 @@ def tilt_state(amplitude: float, phase: float = 0.0) -> SpinState:
     noble-gas component of the given amplitude (and no alkali excitation;
     the alkali re-slaves within ~1/gamma_a).
     """
-    return SpinState(r_x=amplitude * math.cos(phase),
-                     r_y=amplitude * math.sin(phase))
+    return 0j, complex(amplitude * math.cos(phase),
+                       amplitude * math.sin(phase))
 
 
 @dataclass
@@ -84,89 +60,11 @@ class SpinTrajectory:
     r_x: np.ndarray
     r_y: np.ndarray
 
-    def state_at(self, index: int) -> SpinState:
-        return SpinState(float(self.f_x[index]), float(self.f_y[index]),
-                         float(self.r_x[index]), float(self.r_y[index]))
-
     @property
-    def final_state(self) -> SpinState:
-        return self.state_at(-1)
-
-
-def segment_drive(segments):
-    """S3(t), for t from 0 to the summed durations, of a Segment list.
-
-    Each segment's phase is referred to its own start, as in evolve_exact;
-    raised-cosine edges are evaluated continuously, not as that engine's
-    constant-amplitude substeps, so the reference integrator checks them.
-    """
-    starts, pieces, t_end = [], [], 0.0
-    for seg in segments:
-        amp = complex(seg.amplitude)
-        starts.append(t_end)
-        pieces.append((t_end, seg.duration, amp.real, amp.imag,
-                       TWO_PI * seg.omega, seg.ramp))
-        t_end += seg.duration
-    cos, sin = math.cos, math.sin  # local names: s3 runs on every RHS call
-
-    def s3(t: float) -> float:
-        start, dur, a_re, a_im, w, ramp = pieces[bisect_right(starts, t) - 1]
-        tau = t - start
-        value = a_re * cos(w * tau) + a_im * sin(w * tau)
-        if ramp:
-            inside = min(tau, dur - tau)
-            if inside < ramp:
-                return 0.5 * (1.0 - cos(math.pi * inside / ramp)) * value
-        return value
-
-    return s3
-
-
-def bloch_rhs(t: float, y, system: SystemParams, drive):
-    """Right-hand side of the coupled Bloch equations; drive(t) is S3(t)."""
-    f_x, f_y, r_x, r_y = y
-    s3 = drive(t)
-    return (
-        TWO_PI * (system.omega_a * f_y - system.exchange_ab * r_y
-                  - system.gamma_a * f_x),
-        TWO_PI * (-system.omega_a * f_x + system.exchange_ab * r_x
-                  - system.gamma_a * f_y + system.drive_coeff * s3),
-        TWO_PI * (system.omega_b * r_y - system.exchange_ba * f_y
-                  - system.gamma_b * r_x),
-        TWO_PI * (-system.omega_b * r_x + system.exchange_ba * f_x
-                  - system.gamma_b * r_y),
-    )
-
-
-def integrate_bloch(system: SystemParams, segments,
-                    initial: SpinState | None = None, rtol: float = 1e-9,
-                    atol: float = 1e-12, t_eval=None,
-                    sample_rate: float | None = None) -> SpinTrajectory:
-    """Integrate the Bloch equations through the segments evolve_exact takes.
-
-    Adaptive DOP853 (scipy) from 0 to the summed durations: independent of
-    the eigenmode solution, and far slower for mHz lines, it is the
-    reference the exact engine is checked against. Sampling: explicit
-    t_eval wins, else a uniform grid at sample_rate, else the steps taken.
-    """
-    from scipy.integrate import solve_ivp
-
-    y0 = (initial or SpinState()).as_array()
-    t1 = sum(seg.duration for seg in segments)
-    if not t1 > 0:
-        raise ValidityError("integrate_bloch needs at least one segment")
-    if t_eval is None and sample_rate is not None:
-        n = int(math.floor(t1 * sample_rate)) + 1
-        t_eval = np.arange(n) / sample_rate
-    sol = solve_ivp(bloch_rhs, (0.0, t1), y0,
-                    args=(system, segment_drive(segments)), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, t_eval=t_eval)
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise ValidityError(f"integrator stopped at t = {last:.6g} s: "
-                            f"{sol.message}")
-    return SpinTrajectory(times=sol.t, f_x=sol.y[0], f_y=sol.y[1],
-                          r_x=sol.y[2], r_y=sol.y[3])
+    def final_state(self) -> tuple[complex, complex]:
+        """(f, r) at the last sample."""
+        return (complex(self.f_x[-1], self.f_y[-1]),
+                complex(self.r_x[-1], self.r_y[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +170,8 @@ def _expand_ramps(segment: Segment):
             segment.duration - segment.ramp + k * h
 
 
-def evolve_exact(system: SystemParams, segments, initial: SpinState,
+def evolve_exact(system: SystemParams, segments,
+                 initial: tuple[complex, complex],
                  sample_rate: float | None = None) -> SpinTrajectory:
     """Evolve through harmonic segments using the exact eigenmode solution.
 
@@ -282,10 +181,11 @@ def evolve_exact(system: SystemParams, segments, initial: SpinState,
     kHz-wide ones. Sampling at sample_rate is for output only; the state
     handoff between segments is exact. Phase continuity of the drive across
     segment boundaries is the caller's concern: each segment's amplitude is
-    defined against the global time origin of that segment's start.
+    defined against the global time origin of that segment's start. The
+    initial state is the pair (f, r).
     """
     modes = _Modes(system)
-    state = np.array([initial.f, initial.r], dtype=complex)
+    state = np.array(initial, dtype=complex)
     ts_out = [np.array([0.0])]
     ys_out = [state[np.newaxis, :].copy()]
     t_base = 0.0
@@ -351,11 +251,12 @@ class SidebandResponse:
     f_minus: complex
     r_minus: complex
 
-    def state_at(self, t: float) -> SpinState:
+    def state_at(self, t: float) -> tuple[complex, complex]:
+        """The steady state (f, r) at time t."""
         e_minus = np.exp(-1j * TWO_PI * self.omega * t)
         f = 0.5 * (self.f_plus * e_minus + self.f_minus / e_minus)
         r = 0.5 * (self.r_plus * e_minus + self.r_minus / e_minus)
-        return SpinState.from_complex(f, r)
+        return f, r
 
 
 def exact_linear_response(system: SystemParams, s3_amplitude: complex,
@@ -416,8 +317,8 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
                         ramp=ramp)]
     if dead > 0:
         segments.append(Segment(duration=dead))
-    start = evolve_exact(system, segments, SpinState()).final_state
-    return ExciteResult(omega=omega, amplitude=abs(start.r), r_end=start.r,
+    _, r = evolve_exact(system, segments, (0j, 0j)).final_state
+    return ExciteResult(omega=omega, amplitude=abs(r), r_end=r,
                         pulse_duration=pulse, dead_time=dead)
 
 

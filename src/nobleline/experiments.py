@@ -64,31 +64,26 @@ class ScanResult:
     extras: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
-    def write(self, outdir, prefix: str | None = None) -> list[str]:
+    def write(self, outdir, prefix: str) -> list[str]:
         os.makedirs(outdir, exist_ok=True)
-        prefix = prefix or self.name
-        paths = []
 
         points = os.path.join(outdir, f"{prefix}_points.csv")
         with _replacing(points) as fh:
             fh.write(",".join(self.columns) + "\n")
             fh.writelines(",".join([_cell(row[c]) for c in self.columns])
                           + "\n" for row in self.rows)
-        paths.append(points)
 
         fitp = os.path.join(outdir, f"{prefix}_fit.json")
         with _replacing(fitp) as fh:
             json.dump({"scenario": self.name, "fits": self.fits,
                        "extras": self.extras}, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        paths.append(fitp)
 
         provp = os.path.join(outdir, f"{prefix}_provenance.json")
         with _replacing(provp) as fh:
             json.dump(self.provenance, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        paths.append(provp)
-        return paths
+        return [points, fitp, provp]
 
 
 @contextlib.contextmanager
@@ -440,20 +435,19 @@ def run_calibration(bundle: Bundle) -> ScanResult:
                               * np.cos(TWO_PI * omega_a * t)))
 
     def one_trial(trial: int, rng) -> dict:
-        freq_hat, freq_b = [], []
+        freq_hat = []
         gam_hat, gam_var = [], []
-        for b_field, (t, record) in zip(cal_fields, clean_records):
+        for t, record in clean_records:
             if rng is not None:
                 record = record + rng.normal(0.0, noise, size=t.shape)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ValidityWarning)
                 fit = fit_decaying_sinusoid(t, record)
             freq_hat.append(fit.frequency)
-            freq_b.append(b_field)
             gam_hat.append(fit.decay_rate)
             half = 0.5 * (fit.decay_rate_ci[1] - fit.decay_rate_ci[0])
             gam_var.append(max(half, 1e-30) ** 2)
-        lin = fit_linear(np.array(freq_b), np.array(freq_hat))
+        lin = fit_linear(np.array(cal_fields), np.array(freq_hat))
         w = 1.0 / np.asarray(gam_var)
         pooled = float(np.sum(w * np.asarray(gam_hat)) / np.sum(w))
         pooled_half = float(1.0 / math.sqrt(np.sum(w)))

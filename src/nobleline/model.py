@@ -308,6 +308,19 @@ def derive_optics(optics: OpticalParams, cell: GasCell) -> OpticalParams:
                    scattering_rate=alpha * abar / optics.optical_depth)
 
 
+def exchange_denominator(system: SystemParams,
+                         delta_a: float) -> tuple[float, float]:
+    """(J^2, delta_a^2 + gamma_a^2) of the line's exchange pull and width;
+    ValidityError where the second is zero (gamma_a = 0 on the alkali
+    resonance) and the first is not, since both then diverge."""
+    j2 = system.exchange_ab * system.exchange_ba
+    den = delta_a**2 + system.gamma_a**2
+    if den == 0.0 and j2 != 0.0:
+        raise ValidityError("undamped alkali (gamma_a = 0) driven on its "
+                            "resonance: exchange pull and width diverge")
+    return j2, den
+
+
 def compute_detunings(omega: float, system: SystemParams) -> Detunings:
     """Detunings of a drive at omega, including the pulled-line detuning.
 
@@ -317,15 +330,8 @@ def compute_detunings(omega: float, system: SystemParams) -> Detunings:
     """
     delta_a = omega - system.omega_a
     delta_b = omega - system.omega_b
-    den = delta_a**2 + system.gamma_a**2
-    j2 = system.exchange_ab * system.exchange_ba
-    if den == 0.0:
-        if j2 != 0.0:
-            raise ValidityError("drive sits exactly on an undamped alkali "
-                                "resonance; the pulled detuning diverges")
-        pull = 0.0
-    else:
-        pull = j2 * delta_a / den
+    j2, den = exchange_denominator(system, delta_a)
+    pull = j2 * delta_a / den if den else 0.0
     return Detunings(delta_a=delta_a, delta_b=delta_b, delta_hybrid=delta_b - pull)
 
 

@@ -21,21 +21,21 @@ import math
 from dataclasses import dataclass
 
 from .model import (Detunings, OpticalParams, SystemParams, ValidityError,
-                    compute_detunings)
+                    compute_detunings, exchange_denominator)
 
 #: |delta_a| >= FAR_DETUNED_RATIO * gamma_a selects the factored closed form
 #: of the transmitted amplitude; below it the general coherence form is used.
 FAR_DETUNED_RATIO = 10.0
 
+#: line_center's relative convergence tolerance and iteration budget
+LINE_CENTER_TOL = 1e-14
+LINE_CENTER_MAX_ITER = 200
+
 
 def hybrid_linewidth(system: SystemParams, delta_a: float) -> float:
     """Half-width gamma of the hybridized line at alkali detuning delta_a."""
-    j2 = system.exchange_ab * system.exchange_ba
-    den = delta_a**2 + system.gamma_a**2
+    j2, den = exchange_denominator(system, delta_a)
     if den == 0.0:
-        if j2 != 0.0:
-            raise ValidityError("undamped alkali driven on resonance: "
-                                "hybrid width diverges")
         return system.gamma_b
     return system.gamma_b + j2 * system.gamma_a / den
 
@@ -77,8 +77,7 @@ def noble_coherence(s3_in: complex, omega: float,
     return -system.exchange_ba * system.drive_coeff * s3_in / den
 
 
-def line_center(system: SystemParams, tol: float = 1e-14,
-                max_iter: int = 200) -> float:
+def line_center(system: SystemParams) -> float:
     """Frequency of the drive at which the pulled detuning Delta vanishes.
 
     Solves omega = omega_b + J^2*(omega - omega_a)/((omega - omega_a)^2 +
@@ -91,10 +90,11 @@ def line_center(system: SystemParams, tol: float = 1e-14,
         return system.omega_b
     scale = max(abs(system.omega_b), system.gamma_b, 1e-30)
     omega = system.omega_b
-    for _ in range(max_iter):
+    for _ in range(LINE_CENTER_MAX_ITER):
         da = omega - system.omega_a
-        new = system.omega_b + j2 * da / (da**2 + system.gamma_a**2)
-        if abs(new - omega) <= tol * scale:
+        _, den = exchange_denominator(system, da)
+        new = system.omega_b + j2 * da / den
+        if abs(new - omega) <= LINE_CENTER_TOL * scale:
             return new
         omega = new
     raise ValidityError("line-center iteration did not converge; "

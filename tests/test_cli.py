@@ -308,17 +308,27 @@ def test_undersampled_records_exit_config(tmp_path, capsys, command,
     assert not out.exists() or command == "spectrum" and not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command, code, kind", [
-    ("calibrate", EXIT_CONFIG, "config"),
-    ("spectrum", EXIT_VALIDITY, "validity"),
-    ("derive-params", EXIT_VALIDITY, "validity"),
-], ids=["calibrate", "spectrum", "derive-params"])
+ON_RESONANCE = {"omega_a": "20", "omega_b": "20"}
+
+
+@pytest.mark.parametrize("command, code, kind, system", [
+    ("calibrate", EXIT_CONFIG, "config", {}),
+    ("spectrum", EXIT_VALIDITY, "validity", {}),
+    ("derive-params", EXIT_VALIDITY, "validity", {}),
+    ("spectrum", EXIT_VALIDITY, "validity", ON_RESONANCE),
+    ("excite", EXIT_VALIDITY, "validity", ON_RESONANCE),
+    ("transient", EXIT_VALIDITY, "validity", ON_RESONANCE),
+    ("derive-params", EXIT_VALIDITY, "validity", ON_RESONANCE),
+], ids=["calibrate", "spectrum", "derive-params", "spectrum-on-resonance",
+        "excite-on-resonance", "transient-on-resonance",
+        "derive-params-on-resonance"])
 def test_undamped_alkali_exits_with_one_error_line(tmp_path, capsys, command,
-                                                   code, kind):
+                                                   code, kind, system):
     # gamma_a = 0 leaves calibrate's record length and the line depth
-    # gamma'_a/gamma_a undefined; each must be refused, not divided by
+    # gamma'_a/gamma_a undefined; each must be refused, not divided by. On
+    # the alkali resonance the exchange pull and width diverge as well.
     sections = preset_sections()
-    sections["system"]["gamma_a"] = "0"
+    sections["system"].update(gamma_a="0", **system)
     argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]
     if command != "derive-params":
         argv += ["--out", str(tmp_path / "out")]

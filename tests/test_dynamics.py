@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nobleline.dynamics import (Segment, SidebandResponse, SpinState,
-                                _expand_ramps, _Modes, evolve_exact,
-                                exact_linear_response, excite_and_readout,
-                                integrate_bloch, magnetic_pulse_transient,
-                                segment_drive, slow_mode, tilt_state)
+from bloch_oracle import integrate_bloch, segment_drive
+from nobleline.dynamics import (Segment, SidebandResponse, _expand_ramps,
+                                _Modes, evolve_exact, exact_linear_response,
+                                excite_and_readout, magnetic_pulse_transient,
+                                slow_mode, tilt_state)
 from nobleline.model import TWO_PI, SystemParams, ValidityError, derive_larmor
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import alkali_coherence, line_center, noble_coherence
@@ -44,25 +44,18 @@ def fast_system(**overrides) -> SystemParams:
     return SystemParams(**values)
 
 
-def test_spin_state_round_trip():
-    s = SpinState(1.0, -2.0, 3.0, -4.0)
-    assert s.f == 1.0 - 2.0j and s.r == 3.0 - 4.0j
-    assert SpinState.from_complex(s.f, s.r) == s
-    assert np.array_equal(s.as_array(), [1.0, -2.0, 3.0, -4.0])
-
-
 def test_tilt_state_geometry():
-    s = tilt_state(2.0, phase=math.pi / 2)
-    assert s.r_x == pytest.approx(0.0, abs=1e-15)
-    assert s.r_y == pytest.approx(2.0, rel=1e-15)
-    assert s.f_x == s.f_y == 0.0
+    f, r = tilt_state(2.0, phase=math.pi / 2)
+    assert r.real == pytest.approx(0.0, abs=1e-15)
+    assert r.imag == pytest.approx(2.0, rel=1e-15)
+    assert f.real == f.imag == 0.0
 
 
 def test_decoupled_free_precession_analytic():
     # J = 0: F(t) = e^{-2 pi gamma t} (cos, -sin) of 2 pi omega t
     sys = fast_system(exchange_ab=0.0, exchange_ba=0.0)
     traj = integrate_bloch(sys, [Segment(duration=0.2)],
-                           initial=SpinState(f_x=1.0), rtol=1e-11, atol=1e-13,
+                           initial=(1.0 + 0j, 0j), rtol=1e-11, atol=1e-13,
                            sample_rate=64.0 * sys.omega_a)
     env = np.exp(-TWO_PI * sys.gamma_a * traj.times)
     arg = TWO_PI * sys.omega_a * traj.times
@@ -75,7 +68,7 @@ def test_exact_matches_adaptive_integration():
     # one driven segment, then two at different amplitudes and frequencies,
     # which checks that both engines refer each segment's phase to its start
     sys = fast_system()
-    initial = SpinState(0.1, -0.2, 0.3, 0.05)
+    initial = (0.1 - 0.2j, 0.3 + 0.05j)
     first = Segment(duration=0.5, amplitude=0.7 - 0.2j, omega=31.0)
     second = Segment(duration=0.3, amplitude=-0.4 + 0.9j, omega=28.5)
     for segments in ([first], [first, second]):
@@ -95,11 +88,11 @@ def test_exact_ramp_matches_adaptive_integration():
     amp, omega = 1.0 + 0.0j, 30.0
     segments = [Segment(duration=pulse, amplitude=amp, omega=omega,
                         ramp=ramp)]
-    exact = evolve_exact(sys, segments, SpinState())
+    exact = evolve_exact(sys, segments, (0j, 0j))
     rk = integrate_bloch(sys, segments, rtol=1e-11, atol=1e-13,
                          t_eval=np.array([pulse]))
-    r_exact = exact.final_state.r
-    r_rk = rk.final_state.r
+    _, r_exact = exact.final_state
+    _, r_rk = rk.final_state
     assert abs(r_exact - r_rk) <= 2e-4 * abs(r_rk)
 
 
@@ -166,10 +159,10 @@ def test_evolve_exact_particular_singular_raises():
                        tilt_coeff=1.0)
     with pytest.raises(ValidityError):
         evolve_exact(sys, [Segment(duration=1.0, amplitude=1.0 + 0.0j,
-                                   omega=105.0)], SpinState())
+                                   omega=105.0)], (0j, 0j))
     with pytest.raises(ValidityError):
         evolve_exact(sys, [Segment(duration=1.0, amplitude=1.0 + 0.0j,
-                                   omega=105.0, ramp=0.2)], SpinState())
+                                   omega=105.0, ramp=0.2)], (0j, 0j))
     # one driven row is enough to raise; an undriven batch has no response
     modes = _Modes(sys)
     with pytest.raises(ValidityError):
@@ -208,7 +201,7 @@ def _evolve_per_substep(system, segments, initial, sample_rate):
     """evolve_exact written out one constant-amplitude stretch at a time,
     each with its own solve, sample grid and exponentials."""
     modes = _Modes(system)
-    state = np.array([initial.f, initial.r], dtype=complex)
+    state = np.array(initial, dtype=complex)
     ts_out, ys_out, t_base = [np.array([0.0])], [state[None, :].copy()], 0.0
     for seg in segments:
         for dur, amp, omega, offset in _expand_ramps(seg):
@@ -249,7 +242,7 @@ def test_ramped_evolution_matches_per_substep_loop(sample_rate):
                 Segment(duration=0.05),
                 Segment(duration=0.3, amplitude=-0.4 + 0.9j, omega=28.5,
                         ramp=0.15)]
-    initial = SpinState(0.1, -0.2, 0.3, 0.05)
+    initial = (0.1 - 0.2j, 0.3 + 0.05j)
     traj = evolve_exact(sys, segments, initial, sample_rate=sample_rate)
     times, ys = _evolve_per_substep(sys, segments, initial, sample_rate)
     assert traj.times.tobytes() == times.tobytes()
@@ -266,12 +259,12 @@ def test_sideband_state_matches_settled_trajectory():
     t_settle = 20.0 / (TWO_PI * 0.5)  # 20 e-folds of the slowest mode
     traj = evolve_exact(sys, [Segment(duration=t_settle + 0.2,
                                       amplitude=s3, omega=omega)],
-                        SpinState(), sample_rate=4096.0)
+                        (0j, 0j), sample_rate=4096.0)
     mask = traj.times > t_settle
     for i in np.flatnonzero(mask)[::50]:
-        expect = resp.state_at(traj.times[i])
-        assert traj.f_x[i] == pytest.approx(expect.f_x, abs=1e-9)
-        assert traj.r_y[i] == pytest.approx(expect.r_y, abs=1e-9)
+        f, r = resp.state_at(traj.times[i])
+        assert traj.f_x[i] == pytest.approx(f.real, abs=1e-9)
+        assert traj.r_y[i] == pytest.approx(r.imag, abs=1e-9)
 
 
 def test_demodulated_pair_recovers_co_rotating_amplitude(preset_system):
@@ -285,8 +278,7 @@ def test_demodulated_pair_recovers_co_rotating_amplitude(preset_system):
     rate = 64.0 * sys.omega_a
     traj = integrate_bloch(sys, [Segment(duration=window,
                                          amplitude=1.0 + 0.0j, omega=omega)],
-                           initial=SpinState.from_complex(
-                               resp.state_at(0.0).f, resp.state_at(0.0).r),
+                           initial=resp.state_at(0.0),
                            rtol=1e-11, atol=1e-14, sample_rate=rate)
     z_x = heterodyne_extract(traj.times, traj.f_x, omega).z
     z_y = heterodyne_extract(traj.times, traj.f_y, omega).z
@@ -310,7 +302,7 @@ def test_excite_and_readout_engines_agree():
                         omega=omega),
                 Segment(duration=exact.dead_time)]
     rk = integrate_bloch(sys, segments, rtol=1e-11)
-    r_end = rk.final_state.r
+    _, r_end = rk.final_state
     assert exact.amplitude == pytest.approx(abs(r_end), rel=1e-6)
     assert exact.r_end == pytest.approx(r_end, rel=1e-5)
 
