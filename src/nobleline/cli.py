@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import load_config, preset_path, scenario_with
+from .config import SCENARIO_NAMES, load_config, preset_path, scenario_with
 from .dynamics import slow_mode
 from .experiments import run_scenario
 from .model import (ConfigError, FitConvergenceError, NoblelineError,
@@ -25,13 +25,8 @@ EXIT_CONFIG = 1
 EXIT_FIT = 2
 EXIT_VALIDITY = 3
 
-_SCENARIO_COMMANDS = {
-    "spectrum": "spectrum",
-    "excite": "excite",
-    "sweep-field": "sweep_field",
-    "transient": "transient",
-    "calibrate": "calibrate",
-}
+# CLI command -> scenario name: sweep_field runs as sweep-field
+_SCENARIO_COMMANDS = {name.replace("_", "-"): name for name in SCENARIO_NAMES}
 
 
 def build_parser() -> argparse.ArgumentParser:

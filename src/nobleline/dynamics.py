@@ -34,8 +34,6 @@ from .model import TWO_PI, SystemParams, ValidityError, ValidityWarning
 from .signals import MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid
 from .spectrum import hybrid_linewidth, line_center
 
-TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
-
 
 def tilt_state(amplitude: float,
                phase: float = 0.0) -> tuple[complex, complex]:

@@ -2,10 +2,12 @@
 
 Every runner consumes a resolved :class:`~nobleline.config.Bundle`, draws all
 randomness from child streams of the scenario seed (stable across runs
-and platforms), and returns a :class:`ScanResult` whose
-``write`` method emits three files per scenario::
+and platforms), and returns a :class:`ScanResult`. Its ``table`` maps each
+points column, in CSV order, to one equal-length sequence; this module owns
+every column name (the ``*_COLUMNS`` tuples). ``write`` emits three files per
+scenario::
 
-    <prefix>_points.csv        per-point data, fixed column order
+    <prefix>_points.csv        the table, one repr() per cell
     <prefix>_fit.json          fit reports and derived summary numbers
     <prefix>_provenance.json   resolved config + seed, reloadable as a run
 """
@@ -17,30 +19,33 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .config import Bundle, provenance_mapping
-from .dynamics import (TRAJECTORY_COLUMNS, excite_and_readout,
-                       magnetic_pulse_transient, transient_samples)
-from .model import ConfigError, TWO_PI, ValidityWarning, derive_larmor
+from .dynamics import (excite_and_readout, magnetic_pulse_transient,
+                       transient_samples)
+from .model import (ConfigError, TWO_PI, ValidityError, ValidityWarning,
+                    derive_larmor)
 from .signals import (MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid,
                       fit_inverted_lorentzian, fit_linear, heterodyne_extract,
                       stokes_time_series)
-from .spectrum import (SPECTRUM_COLUMNS, evaluate_spectrum, hybrid_linewidth,
-                       line_center, line_shape, phase_shift, s2_response,
-                       spectrum_row)
+from .spectrum import (evaluate_spectrum, hybrid_linewidth, line_center,
+                       line_shape, phase_shift)
 
+SPECTRUM_COLUMNS = ("omega", "delta", "transmission", "phase",
+                    "re_f", "im_f", "re_r", "im_r")
 EXCITE_COLUMNS = ("omega", "delta", "amplitude", "normalized_power")
 SWEEP_COLUMNS = ("field", "omega_b_bare", "line_center", "full_width",
                  "contrast", "fit_frequency", "fit_decay")
 CALIBRATION_COLUMNS = ("trial", "slope", "slope_lo", "slope_hi",
                        "slope_covered", "decay", "decay_lo", "decay_hi",
                        "decay_covered")
+TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
 
-#: largest sampled record a run may build: evolving and fitting one costs
-#: about 0.5 kB per sample, so this cap holds a run near 2 GB
+#: largest sampled record a run may build: evolving, fitting and writing
+#: one costs about 0.3 kB per sample, so this cap holds a transient near 1.2 GB
 MAX_RECORD_SAMPLES = 4_000_000
 
 
@@ -55,23 +60,36 @@ def _package_version() -> str:
 
 @dataclass
 class ScanResult:
-    """Uniform runner output: a points table, fit reports, and provenance."""
+    """Uniform runner output: a points table, fit reports, and provenance.
+
+    table maps each column name, in CSV order, to an equal-length sequence
+    of ints (flags are 0/1) or floats.
+    """
 
     name: str
-    columns: tuple
-    rows: list
-    fits: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    table: dict
+    fits: dict
+    extras: dict
+    provenance: dict
+
+    def _records(self):
+        """The table's rows as tuples of Python scalars."""
+        return zip(*(np.asarray(c).tolist() for c in self.table.values()),
+                   strict=True)
+
+    @property
+    def rows(self) -> list[dict]:
+        """The table as one dict per row; a copy, so edits do not stick."""
+        return [dict(zip(self.table, r)) for r in self._records()]
 
     def write(self, outdir, prefix: str) -> list[str]:
         os.makedirs(outdir, exist_ok=True)
 
         points = os.path.join(outdir, f"{prefix}_points.csv")
         with _replacing(points) as fh:
-            fh.write(",".join(self.columns) + "\n")
-            fh.writelines(",".join([_cell(row[c]) for c in self.columns])
-                          + "\n" for row in self.rows)
+            fh.write(",".join(self.table) + "\n")
+            fh.writelines(",".join(map(repr, r)) + "\n"
+                          for r in self._records())
 
         fitp = os.path.join(outdir, f"{prefix}_fit.json")
         with _replacing(fitp) as fh:
@@ -100,14 +118,9 @@ def _replacing(path: str):
             os.remove(tmp)
 
 
-def _cell(value) -> str:
-    if type(value) is float:    # most cells; np.float64 takes the last line
-        return repr(value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _table(names, *columns) -> dict:
+    """A ScanResult table: each name of `names` mapped to its column."""
+    return dict(zip(names, columns, strict=True))
 
 
 def _provenance(bundle: Bundle) -> dict:
@@ -166,12 +179,12 @@ def _detuning_grid(scenario, gamma: float) -> np.ndarray:
 def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     """Sweep the probe across the hybrid line; fit the transmission dip.
 
-    method "closed_form" evaluates the response expressions directly;
-    "demodulated" synthesizes the beating Stokes records per point and
-    recovers transmission and phase by heterodyne extraction, which is what
-    an actual lock-in chain does. Gaussian noise of scenario.noise_sigma
-    (per sample for "demodulated", per transmission point for
-    "closed_form") is added when nonzero.
+    Both methods tabulate the closed-form response at each point; method
+    "demodulated" then replaces its transmission and phase by those that
+    heterodyne extraction recovers from the synthesized beating Stokes
+    record, which is what an actual lock-in chain does. Gaussian noise of
+    scenario.noise_sigma (per sample for "demodulated", per transmission
+    point for "closed_form") is added when nonzero.
     """
     if bundle.optics is None:
         raise ConfigError("spectrum scenario needs an [optics] section")
@@ -193,32 +206,35 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"{_least_samples_per_cycle(highest, line.center):.6g}")
         _check_record_sizes(sc, [int(round(duration * fs))],
                             ("demod_periods", "samples_per_cycle"))
-        rows = []
-        for omega, rng in zip(omegas.tolist(), rngs):
-            resp = s2_response(omega, system, bundle.optics,
-                               s2_in=sc.signal_amplitude)
+    responses = evaluate_spectrum(omegas, system, bundle.optics,
+                                  s2_in=sc.signal_amplitude)
+    table = _table(SPECTRUM_COLUMNS, omegas,
+                   [r.detunings.delta_hybrid for r in responses],
+                   [r.transmission for r in responses],
+                   [r.phase for r in responses],
+                   [r.f_tilde.real for r in responses],
+                   [r.f_tilde.imag for r in responses],
+                   [r.r_tilde.real for r in responses],
+                   [r.r_tilde.imag for r in responses])
+    if sc.method == "demodulated":
+        lockins = []
+        for omega, resp, rng in zip(omegas.tolist(), responses, rngs):
             t, s2_t = stokes_time_series(
                 resp.s2_out, omega, duration, fs, noise_sigma=sc.noise_sigma,
                 rng=rng if sc.noise_sigma else None)
-            fit = heterodyne_extract(t, s2_t, omega)
-            row = spectrum_row(omega, resp)
-            row["transmission"] = (fit.amplitude / abs(sc.signal_amplitude))**2
-            row["phase"] = fit.phase
-            rows.append(row)
-    else:
-        rows = evaluate_spectrum(omegas, system, bundle.optics,
-                                 s2_in=sc.signal_amplitude)
-        if sc.noise_sigma > 0:
-            for row, rng in zip(rows, rngs):
-                row["transmission"] += rng.normal(0.0, sc.noise_sigma)
+            lockins.append(heterodyne_extract(t, s2_t, omega))
+        table["transmission"] = [(h.amplitude / abs(sc.signal_amplitude)) ** 2
+                                 for h in lockins]
+        table["phase"] = [h.phase for h in lockins]
+    elif sc.noise_sigma > 0:
+        table["transmission"] = [
+            tr + rng.normal(0.0, sc.noise_sigma)
+            for tr, rng in zip(table["transmission"], rngs)]
 
-    omega_arr = np.array([r["omega"] for r in rows])
-    trans_arr = np.array([r["transmission"] for r in rows])
-    dip = fit_inverted_lorentzian(omega_arr, trans_arr)
-
-    model_phase = np.array([phase_shift(line, r["delta"]) for r in rows])
-    meas_phase = np.array([r["phase"] for r in rows])
-    phase_rms = float(np.sqrt(np.mean((meas_phase - model_phase) ** 2)))
+    dip = fit_inverted_lorentzian(omegas, table["transmission"])
+    model_phase = np.array([phase_shift(line, d) for d in table["delta"]])
+    phase_rms = float(np.sqrt(np.mean((np.array(table["phase"])
+                                       - model_phase) ** 2)))
 
     extras = {
         "line_center": line.center,
@@ -229,8 +245,8 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
         "phase_residual_rms": phase_rms,
         "method": sc.method,
     }
-    return ScanResult(name="spectrum", columns=SPECTRUM_COLUMNS,
-                      rows=rows, fits={"transmission_dip": dip.report()},
+    return ScanResult(name="spectrum", table=table,
+                      fits={"transmission_dip": dip.report()},
                       extras=extras, provenance=_provenance(bundle))
 
 
@@ -251,8 +267,11 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
     system = bundle.system
     center = line_center(system)
     gamma = hybrid_linewidth(system, center - system.omega_a)
-    deltas = _detuning_grid(sc, gamma)
-    omegas = center + deltas
+    if gamma <= 0:
+        raise ValidityError("undamped line: zero width with gamma_b = 0 and "
+                            "gamma_a = 0 or no exchange; excitation never "
+                            "saturates")
+    omegas = center + _detuning_grid(sc, gamma)
     rngs = _streams(sc.seed, len(omegas))
     ramp = sc.ramp_efolds / (TWO_PI * gamma)
     # each pulse is sized by the width at its own grid point, so both edges
@@ -265,24 +284,20 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
             f"shortest pulse of the scan; keep it at or below "
             f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
 
-    rows = []
-    for omega, rng in zip(omegas, rngs):
-        res = excite_and_readout(
-            system, float(omega), s3_amplitude=sc.signal_amplitude,
+    amps = []
+    for omega, rng in zip(omegas.tolist(), rngs):
+        amp = excite_and_readout(
+            system, omega, s3_amplitude=sc.signal_amplitude,
             pulse_efolds=sc.pulse_efolds, ramp=ramp,
-            dead_efolds=sc.dead_efolds)
-        amp = res.amplitude
+            dead_efolds=sc.dead_efolds).amplitude
         if sc.noise_sigma > 0:
             amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
-        rows.append({"omega": float(omega), "delta": float(omega - center),
-                     "amplitude": amp})
-    peak = max(row["amplitude"] for row in rows) or 1.0
-    for row in rows:
-        row["normalized_power"] = (row["amplitude"] / peak) ** 2
+        amps.append(amp)
+    peak = max(amps) or 1.0
+    power = [(amp / peak) ** 2 for amp in amps]
 
-    dip = fit_inverted_lorentzian(
-        np.array([r["omega"] for r in rows]),
-        np.array([1.0 - r["normalized_power"] for r in rows]))
+    dip = fit_inverted_lorentzian(omegas, [1.0 - p for p in power])
+    table = _table(EXCITE_COLUMNS, omegas, omegas - center, amps, power)
     extras = {
         "line_center": center,
         "line_half_width": gamma,
@@ -290,7 +305,7 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
         "fitted_half_width": dip.half_width,
         "fitted_center": dip.center,
     }
-    return ScanResult(name="excite", columns=EXCITE_COLUMNS, rows=rows,
+    return ScanResult(name="excite", table=table,
                       fits={"response_dip": dip.report()}, extras=extras,
                       provenance=_provenance(bundle))
 
@@ -319,30 +334,27 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
     _check_record_sizes(sc, [transient_samples(
         s, sc.observe_efolds, sc.samples_per_cycle) for s in systems])
 
-    rows = []
-    for b_field, system, rng in zip(sc.fields, systems, rngs):
+    centers, widths, contrasts, freqs, decays = [], [], [], [], []
+    for system, rng in zip(systems, rngs):
         center = line_center(system)
-        gamma = hybrid_linewidth(system, center - system.omega_a)
-        contrast = (line_shape(system, bundle.optics).contrast
-                    if bundle.optics is not None else math.nan)
+        centers.append(center)
+        widths.append(2.0 * hybrid_linewidth(system, center - system.omega_a))
+        contrasts.append(line_shape(system, bundle.optics).contrast
+                         if bundle.optics is not None else math.nan)
         fit = magnetic_pulse_transient(
             system, tilt_amplitude=sc.tilt_amplitude,
             observe_efolds=sc.observe_efolds,
             samples_per_cycle=sc.samples_per_cycle,
             noise_sigma=sc.noise_sigma, rng=rng).fit
-        rows.append({
-            "field": float(b_field), "omega_b_bare": system.omega_b,
-            "line_center": center, "full_width": 2.0 * gamma,
-            "contrast": contrast,
-            "fit_frequency": fit.frequency, "fit_decay": fit.decay_rate,
-        })
+        freqs.append(fit.frequency)
+        decays.append(fit.decay_rate)
+    table = _table(SWEEP_COLUMNS, [float(b) for b in sc.fields],
+                   [s.omega_b for s in systems], centers, widths, contrasts,
+                   freqs, decays)
 
-    freqs = [r["fit_frequency"] for r in rows]
     monotonic = all(b < a for b, a in zip(freqs, freqs[1:])) \
         or all(b > a for b, a in zip(freqs, freqs[1:]))
-    widths = [r["full_width"] for r in rows]
-    contrasts = [r["contrast"] for r in rows]
-    line = fit_linear(np.array([r["field"] for r in rows]), np.array(freqs))
+    line = fit_linear(np.array(table["field"]), np.array(freqs))
     extras = {
         "monotonic": monotonic,
         "width_decreasing": all(b > a for b, a in zip(widths, widths[1:])),
@@ -354,7 +366,7 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         "min_full_width": min(widths),
         "max_full_width": max(widths),
     }
-    return ScanResult(name="sweep_field", columns=SWEEP_COLUMNS, rows=rows,
+    return ScanResult(name="sweep_field", table=table,
                       fits={"frequency_vs_field": line.report()},
                       extras=extras, provenance=_provenance(bundle))
 
@@ -376,10 +388,6 @@ def run_transient(bundle: Bundle) -> ScanResult:
     traj = res.trajectory
     fit = res.fit
 
-    rows = [{"t": t, "f_x": fx, "f_y": fy, "r_x": rx, "r_y": ry}
-            for t, fx, fy, rx, ry in zip(
-                traj.times.tolist(), traj.f_x.tolist(), traj.f_y.tolist(),
-                traj.r_x.tolist(), traj.r_y.tolist())]
     extras = {
         "predicted_decay": res.predicted_decay,
         "predicted_frequency": res.predicted_frequency,
@@ -387,7 +395,9 @@ def run_transient(bundle: Bundle) -> ScanResult:
         "fitted_decay": fit.decay_rate,
         "fitted_frequency": fit.frequency,
     }
-    return ScanResult(name="transient", columns=TRAJECTORY_COLUMNS, rows=rows,
+    table = _table(TRAJECTORY_COLUMNS, traj.times, traj.f_x, traj.f_y,
+                   traj.r_x, traj.r_y)
+    return ScanResult(name="transient", table=table,
                       fits={"free_precession": fit.report()}, extras=extras,
                       provenance=_provenance(bundle))
 
@@ -434,7 +444,8 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         clean_records.append((t, np.exp(-TWO_PI * true_gamma * t)
                               * np.cos(TWO_PI * omega_a * t)))
 
-    def one_trial(trial: int, rng) -> dict:
+    def one_trial(rng) -> tuple:
+        """One trial's cells, in CALIBRATION_COLUMNS order after "trial"."""
         freq_hat = []
         gam_hat, gam_var = [], []
         for t, record in clean_records:
@@ -451,21 +462,15 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         w = 1.0 / np.asarray(gam_var)
         pooled = float(np.sum(w * np.asarray(gam_hat)) / np.sum(w))
         pooled_half = float(1.0 / math.sqrt(np.sum(w)))
+        slo, shi = lin.slope_ci
         dlo, dhi = pooled - pooled_half, pooled + pooled_half
-        return {
-            "trial": trial,
-            "slope": lin.slope, "slope_lo": lin.slope_ci[0],
-            "slope_hi": lin.slope_ci[1],
-            "slope_covered": lin.slope_ci[0] <= true_g <= lin.slope_ci[1],
-            "decay": pooled, "decay_lo": dlo, "decay_hi": dhi,
-            "decay_covered": dlo <= true_gamma <= dhi,
-        }
+        return (lin.slope, slo, shi, int(slo <= true_g <= shi),
+                pooled, dlo, dhi, int(dlo <= true_gamma <= dhi))
 
-    clean = one_trial(-1, None)
-    rows = [one_trial(i, rng) for i, rng in enumerate(rngs)]
+    clean = dict(zip(CALIBRATION_COLUMNS[1:], one_trial(None)))
+    table = _table(CALIBRATION_COLUMNS, range(sc.trials),
+                   *zip(*(one_trial(rng) for rng in rngs)))
 
-    slope_cov = float(np.mean([r["slope_covered"] for r in rows]))
-    decay_cov = float(np.mean([r["decay_covered"] for r in rows]))
     extras = {
         "true_slope": true_g,
         "true_decay": true_gamma,
@@ -473,13 +478,12 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         "fields": list(cal_fields),
         "noiseless_slope": clean["slope"],
         "noiseless_decay": clean["decay"],
-        "slope_coverage": slope_cov,
-        "decay_coverage": decay_cov,
-        "mean_slope": float(np.mean([r["slope"] for r in rows])),
-        "mean_decay": float(np.mean([r["decay"] for r in rows])),
+        "slope_coverage": float(np.mean(table["slope_covered"])),
+        "decay_coverage": float(np.mean(table["decay_covered"])),
+        "mean_slope": float(np.mean(table["slope"])),
+        "mean_decay": float(np.mean(table["decay"])),
     }
-    return ScanResult(name="calibrate", columns=CALIBRATION_COLUMNS,
-                      rows=rows, fits={}, extras=extras,
+    return ScanResult(name="calibrate", table=table, fits={}, extras=extras,
                       provenance=_provenance(bundle))
 
 

@@ -233,29 +233,8 @@ def s2_response(omega: float, system: SystemParams, optics: OpticalParams,
                       f_tilde=f_t, r_tilde=r_t)
 
 
-SPECTRUM_COLUMNS = ("omega", "delta", "transmission", "phase",
-                    "re_f", "im_f", "re_r", "im_r")
-
-
-def spectrum_row(omega: float, resp: S2Response) -> dict:
-    """One spectrum row, keyed by SPECTRUM_COLUMNS, from the response at omega.
-
-    The row carries the drive frequency, pulled detuning, power
-    transmission, lock-in phase, and the complex coherence amplitudes.
-    """
-    return {
-        "omega": omega,
-        "delta": resp.detunings.delta_hybrid,
-        "transmission": resp.transmission,
-        "phase": resp.phase,
-        "re_f": resp.f_tilde.real, "im_f": resp.f_tilde.imag,
-        "re_r": resp.r_tilde.real, "im_r": resp.r_tilde.imag,
-    }
-
-
 def evaluate_spectrum(omegas, system: SystemParams, optics: OpticalParams,
-                      s2_in: complex = 1.0 + 0.0j) -> list[dict]:
-    """Closed-form spectrum rows (see spectrum_row) over a frequency grid."""
-    return [spectrum_row(float(omega),
-                         s2_response(float(omega), system, optics, s2_in))
+                      s2_in: complex = 1.0 + 0.0j) -> list[S2Response]:
+    """Closed-form responses (see s2_response) over a frequency grid."""
+    return [s2_response(float(omega), system, optics, s2_in)
             for omega in omegas]

@@ -319,14 +319,16 @@ ON_RESONANCE = {"omega_a": "20", "omega_b": "20"}
     ("excite", EXIT_VALIDITY, "validity", ON_RESONANCE),
     ("transient", EXIT_VALIDITY, "validity", ON_RESONANCE),
     ("derive-params", EXIT_VALIDITY, "validity", ON_RESONANCE),
+    ("excite", EXIT_VALIDITY, "validity", {"gamma_b": "0"}),
 ], ids=["calibrate", "spectrum", "derive-params", "spectrum-on-resonance",
         "excite-on-resonance", "transient-on-resonance",
-        "derive-params-on-resonance"])
+        "derive-params-on-resonance", "excite-undamped-line"])
 def test_undamped_alkali_exits_with_one_error_line(tmp_path, capsys, command,
                                                    code, kind, system):
     # gamma_a = 0 leaves calibrate's record length and the line depth
     # gamma'_a/gamma_a undefined; each must be refused, not divided by. On
-    # the alkali resonance the exchange pull and width diverge as well.
+    # the alkali resonance the exchange pull and width diverge as well. With
+    # gamma_b = 0 too the line has no width to size excite's grid and ramps.
     sections = preset_sections()
     sections["system"].update(gamma_a="0", **system)
     argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]

@@ -9,12 +9,13 @@ import pytest
 
 from nobleline.config import load_config, preset_path, scenario_with
 from nobleline.experiments import (CALIBRATION_COLUMNS, EXCITE_COLUMNS,
-                                   SWEEP_COLUMNS, run_calibration,
+                                   SPECTRUM_COLUMNS, SWEEP_COLUMNS,
+                                   ScanResult, run_calibration,
                                    run_excitation_scan, run_field_sweep,
                                    run_scenario, run_spectrum_scan,
                                    run_transient)
 from nobleline.model import ConfigError
-from nobleline.spectrum import SPECTRUM_COLUMNS, line_shape
+from nobleline.spectrum import line_shape
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def with_scenario(bundle, **kw):
 def test_spectrum_scan_closed_form(preset_bundle):
     res = run_spectrum_scan(preset_bundle)
     assert res.name == "spectrum"
-    assert res.columns == SPECTRUM_COLUMNS
+    assert tuple(res.table) == SPECTRUM_COLUMNS
     line = line_shape(preset_bundle.system, preset_bundle.optics)
     assert res.extras["line_center"] == line.center
     assert res.extras["line_half_width"] == line.half_width
@@ -82,7 +83,7 @@ def test_excitation_scan_width_bias(preset_bundle):
     # short pulses Fourier-broaden the fitted width; at 3 e-folds the
     # documented excess is ~12% with the far wings pinning the baseline
     res = run_excitation_scan(with_scenario(preset_bundle, points=21))
-    assert res.columns == EXCITE_COLUMNS
+    assert tuple(res.table) == EXCITE_COLUMNS
     peak = max(r["normalized_power"] for r in res.rows)
     assert peak == 1.0
     gamma = res.extras["line_half_width"]
@@ -98,7 +99,7 @@ def test_excitation_scan_width_bias(preset_bundle):
 def test_field_sweep_tracks_line(preset_bundle):
     bundle = with_scenario(preset_bundle, fields=(4.0, 6.1, 10.7, 40.0))
     res = run_field_sweep(bundle)
-    assert res.columns == SWEEP_COLUMNS
+    assert tuple(res.table) == SWEEP_COLUMNS
     assert res.extras["monotonic"]
     assert res.extras["width_decreasing"]
     assert res.extras["contrast_decreasing"]
@@ -140,7 +141,7 @@ def test_calibration_noiseless_recovery_and_coverage(preset_bundle):
     bundle = with_scenario(preset_bundle, trials=12, seed=3,
                            samples_per_cycle=16.0)
     res = run_calibration(bundle)
-    assert res.columns == CALIBRATION_COLUMNS
+    assert tuple(res.table) == CALIBRATION_COLUMNS
     assert len(res.rows) == 12
     g = preset_bundle.magnetics.alkali_gyromagnetic
     gamma = preset_bundle.system.gamma_a
@@ -179,6 +180,34 @@ def test_scan_result_write_and_provenance_round_trip(preset_bundle, tmp_path):
     assert prov["params_hash"] == preset_bundle.system.params_hash()
     rebuilt = config_from_mapping(prov["config"])
     assert rebuilt.system == preset_bundle.system
+
+
+def test_scan_result_write_cells_are_python_reprs(tmp_path):
+    # the runners' cell types: ints, 0/1 flags, nan, numpy scalars and
+    # arrays, plain floats
+    table = {
+        "trial": range(3),
+        "covered": [1, 0, int(np.bool_(True))],
+        "contrast": [math.nan, 0.1 + 0.2, -0.0],
+        "amplitude": [abs(np.float64(-2.5e-17)), np.float64(1) / 3,
+                      np.float64(7.0)],
+        "t": np.array([0.0, 1e-300, 19.790149562900268]),
+    }
+    res = ScanResult(name="demo", table=table, fits={}, extras={},
+                     provenance={})
+    res.write(tmp_path, prefix="demo")
+    lines = (tmp_path / "demo_points.csv").read_text().splitlines()
+    assert lines[0] == "trial,covered,contrast,amplitude,t"
+    columns = dict(zip(table, zip(*(line.split(",") for line in lines[1:]))))
+    assert columns["trial"] == ("0", "1", "2")
+    assert columns["covered"] == ("1", "0", "1")
+    for name in ("contrast", "amplitude", "t"):
+        for cell, value in zip(columns[name], table[name]):
+            assert cell == repr(float(value))
+            assert float(cell) == value or math.isnan(value)
+    assert "np." not in "".join(lines)
+    assert res.rows[1] == {"trial": 1, "covered": 0, "contrast": 0.1 + 0.2,
+                           "amplitude": 1 / 3, "t": 1e-300}
 
 
 def test_reruns_are_byte_identical(preset_bundle, tmp_path):

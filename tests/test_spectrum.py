@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nobleline.model import ValidityError, compute_detunings
-from nobleline.spectrum import (FAR_DETUNED_RATIO, SPECTRUM_COLUMNS,
+from nobleline.spectrum import (FAR_DETUNED_RATIO, S2Response,
                                 alkali_coherence, evaluate_spectrum,
                                 hybrid_linewidth, line_center, line_shape,
                                 noble_coherence, phase_shift,
@@ -162,8 +162,8 @@ def test_evaluate_spectrum_rows_and_csv(bundle):
     sys, opt = bundle.system, bundle.optics
     line = line_shape(sys, opt)
     omegas = line.center + np.array([-2.0, 0.0, 2.0]) * line.half_width
-    rows = evaluate_spectrum(omegas, sys, opt)
-    assert all(set(r) == set(SPECTRUM_COLUMNS) for r in rows)
-    assert rows[1]["transmission"] == pytest.approx(1 - line.contrast,
-                                                    rel=1e-9)
-    assert rows[0]["transmission"] > rows[1]["transmission"]
+    responses = evaluate_spectrum(omegas, sys, opt)
+    assert all(isinstance(r, S2Response) for r in responses)
+    assert responses[1].transmission == pytest.approx(1 - line.contrast,
+                                                      rel=1e-9)
+    assert responses[0].transmission > responses[1].transmission

@@ -8,11 +8,13 @@ CLI scenarios, in a fresh interpreter with PYTHONPATH set to that side,
 from its own packaged preset with a few [scenario] overrides:
 
 - spectrum, closed-form and demodulated, noise_sigma = 0.01;
-- excite, with and without ramp_efolds = 0.5;
+- excite, plain, with ramp_efolds = 0.5 and with noise_sigma = 0.01
+  (rectified noisy amplitudes);
 - sweep-field and transient, each with and without noise_sigma = 0.05;
+- sweep-field on three fields with [optics] removed (a nan column);
 - calibrate;
 
-each at seeds 1 and 20260819, three files per run: 54 files per side.
+each at seeds 1 and 20260819, three files per run: 66 files per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset. The tool prints one `DIFF <case>/<file>` or
 `DIFF stdout/<command>` line for each output that differs or is missing on
@@ -42,25 +44,34 @@ CASES = {
                                           "method": "demodulated"}),
     "excite": ("excite", {}),
     "excite_ramped": ("excite", {"ramp_efolds": "0.5"}),
+    "excite_noisy": ("excite", {"noise_sigma": "0.01"}),
     "sweep_field": ("sweep-field", {}),
     "sweep_field_noisy": ("sweep-field", {"noise_sigma": "0.05"}),
+    "sweep_field_no_optics": ("sweep-field", {"fields": "4.0 5.0 6.1"}),
     "transient": ("transient", {}),
     "transient_noisy": ("transient", {"noise_sigma": "0.05"}),
     "calibrate": ("calibrate", {}),
 }
 
+# case name -> preset sections it runs without
+DROPPED_SECTIONS = {"sweep_field_no_optics": ("optics",)}
+
 # commands whose stdout is compared, run on the packaged preset
 STDOUT_COMMANDS = ("check-config", "derive-params")
 
 
-def write_config(src: Path, overrides: dict, path: Path) -> None:
-    """The side's packaged preset with [scenario] overrides, as an INI."""
+def write_config(src: Path, overrides: dict, path: Path,
+                 dropped: tuple = ()) -> None:
+    """The side's packaged preset with [scenario] overrides and without the
+    `dropped` sections, as an INI."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
     preset = src / "nobleline" / "presets" / "k3he_reference.ini"
     if not parser.read(preset):
         raise SystemExit(f"no preset at {preset}")
+    for section in dropped:
+        parser.remove_section(section)
     if not parser.has_section("scenario"):
         parser.add_section("scenario")
     for key, value in overrides.items():
@@ -76,7 +87,7 @@ def run_side(src: Path, work: Path, case: str, seed: int) -> tuple[Path, str]:
     out = work / f"{case}_seed{seed}"
     out.mkdir(parents=True)
     config = out.with_suffix(".ini")
-    write_config(src, overrides, config)
+    write_config(src, overrides, config, DROPPED_SECTIONS.get(case, ()))
     done = run_cli(src, command, "--config", str(config), "--out", str(out),
                    "--seed", str(seed), "--quiet")
     return out, failure(done)
