@@ -13,20 +13,19 @@ All rates and frequencies follow a single convention described in
 
 from .config import (Bundle, ScenarioConfig, config_from_mapping, load_config,
                      preset_path, scenario_with)
-from .dynamics import (ExciteResult, Segment, SidebandResponse,
-                       SpinTrajectory, TransientResult, evolve_exact,
-                       exact_linear_response, excite_and_readout,
-                       magnetic_pulse_transient, slow_mode, tilt_state)
+from .dynamics import (Segment, SidebandResponse, SpinTrajectory,
+                       TransientResult, evolve_exact, exact_linear_response,
+                       excite_and_readout, magnetic_pulse_transient,
+                       slow_mode, tilt_state)
 from .experiments import ScanResult, run_scenario
 from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     MagneticConfig, NoblelineError, OpticalParams,
                     SystemParams, TWO_PI, ValidityError, ValidityWarning,
                     build_system, compute_detunings, derive_exchange_rates,
                     derive_larmor, derive_optics, ideal_gas_density)
-from .signals import (HarmonicFit, LineFit, LinearFit, SinusoidFit,
-                      fit_decaying_sinusoid, fit_inverted_lorentzian,
-                      fit_linear, heterodyne_extract, stokes_time_series,
-                      synthesize_channel, time_grid)
+from .signals import (LineFit, LinearFit, SinusoidFit, fit_decaying_sinusoid,
+                      fit_inverted_lorentzian, fit_linear, heterodyne_extract,
+                      stokes_time_series, synthesize_channel, time_grid)
 from .spectrum import (LineShape, S2Response, alkali_coherence,
                        evaluate_spectrum, hybrid_linewidth, line_center,
                        line_shape, noble_coherence, phase_shift,

@@ -89,6 +89,8 @@ class ScenarioConfig:
                               f"expected one of {SCENARIO_NAMES}")
         if self.method not in ("closed_form", "demodulated"):
             raise ConfigError(f"unknown scenario method {self.method!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.points < 5:
             raise ConfigError("scenario needs at least 5 grid points")
         if self.noise_sigma < 0:
@@ -179,6 +181,10 @@ def _resolve_photon_energy(optics_map: dict) -> dict:
     return out
 
 
+#: [optics] coefficients that are either all given or all derived
+_OPTICS_COUPLINGS = ("tilt_coeff", "faraday_coeff", "scattering_rate")
+
+
 def config_from_mapping(raw: dict) -> Bundle:
     """Resolve a {section: {key: value}} mapping into a Bundle.
 
@@ -200,8 +206,13 @@ def config_from_mapping(raw: dict) -> Bundle:
         optics = None
         if "optics" in typed:
             optics = OpticalParams(**_resolve_photon_energy(typed["optics"]))
-            if optics.tilt_coeff is None or optics.faraday_coeff is None \
-                    or optics.scattering_rate is None:
+            missing = [k for k in _OPTICS_COUPLINGS
+                       if getattr(optics, k) is None]
+            if 0 < len(missing) < len(_OPTICS_COUPLINGS):
+                raise ConfigError("[optics] gives only part of the coupling "
+                                  f"coefficients; add {', '.join(missing)} "
+                                  "or drop the others to derive all three")
+            if missing:
                 if cell is None:
                     raise ConfigError("[optics] coupling derivation needs a "
                                       "[gas_cell] section (or give tilt_coeff,"

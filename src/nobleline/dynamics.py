@@ -16,10 +16,12 @@ Equivalently, with f = F_x + i F_y and r = R_x + i R_y,
 
 which contains no conjugate coupling; the two drive sidebands therefore
 evolve independently, and piecewise-harmonic drives admit an exact
-eigenmode solution (evolve_exact), the only dynamics engine. A state is
-passed as the pair (f, r) of complex coherences. The adaptive integrator
-that checks the engine, driven by the same Segment list, lives with the
-tests (tests/bloch_oracle.py).
+eigenmode solution (evolve_exact), the only dynamics engine. Values stay
+complex: a state is the pair (f, r), a SpinTrajectory holds f and r as two
+complex arrays, and excite_and_readout returns r; only the points table
+splits them into real and imaginary columns. The adaptive integrator that
+checks the engine, driven by the same Segment list, lives with the tests
+(tests/bloch_oracle.py).
 """
 
 from __future__ import annotations
@@ -50,19 +52,17 @@ def tilt_state(amplitude: float,
 
 @dataclass
 class SpinTrajectory:
-    """Sampled spin evolution."""
+    """Sampled spin evolution: the coherences f = F_x + i F_y and
+    r = R_x + i R_y, one complex sample per entry of times."""
 
     times: np.ndarray
-    f_x: np.ndarray
-    f_y: np.ndarray
-    r_x: np.ndarray
-    r_y: np.ndarray
+    f: np.ndarray
+    r: np.ndarray
 
     @property
     def final_state(self) -> tuple[complex, complex]:
         """(f, r) at the last sample."""
-        return (complex(self.f_x[-1], self.f_y[-1]),
-                complex(self.r_x[-1], self.r_y[-1]))
+        return complex(self.f[-1]), complex(self.r[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,7 @@ def evolve_exact(system: SystemParams, segments,
             t_base += dur
     t = np.concatenate(ts_out)
     y = np.concatenate(ys_out, axis=0)
-    return SpinTrajectory(times=t, f_x=y[:, 0].real, f_y=y[:, 0].imag,
-                          r_x=y[:, 1].real, r_y=y[:, 1].imag)
+    return SpinTrajectory(times=t, f=y[:, 0], r=y[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +277,21 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
 # protocols
 
 
-@dataclass(frozen=True)
-class ExciteResult:
-    """Outcome of one excite-wait cycle at a single drive frequency."""
-
-    omega: float
-    amplitude: float          # |R| at readout start
-    r_end: complex            # complex noble coherence at readout start
-    pulse_duration: float
-    dead_time: float
-
-
 def excite_and_readout(system: SystemParams, omega: float | None = None,
                        s3_amplitude: complex = 1.0 + 0.0j,
                        pulse_efolds: float = 3.0, ramp: float = 0.0,
-                       dead_efolds: float = 6.0) -> ExciteResult:
-    """Excite the hybrid line, wait out the alkali transient, read |R|.
+                       dead_efolds: float = 6.0) -> complex:
+    """Excite the hybrid line, wait out the alkali transient, return r.
 
     The pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma)
     (so the default 3 leaves the noble spin near saturation but still
     Fourier-broadens a scanned line; push to >= 8 for width fidelity). The
     dead time, dead_efolds/(2*pi*gamma_a), lets the fast alkali mode ring
     down; the remaining slow decay over it is common to every frequency in
-    a scan and divides out on normalization. The noble coherence R at the
-    end of the dead time, where a readout would start, is the result.
+    a scan and divides out on normalization. The result is the complex
+    noble coherence r = R_x + i R_y at the end of the dead time, where a
+    readout would start; its modulus is the readout amplitude |R|.
+    omega defaults to the hybrid line center.
     """
     if omega is None:
         omega = line_center(system)
@@ -315,9 +305,7 @@ def excite_and_readout(system: SystemParams, omega: float | None = None,
                         ramp=ramp)]
     if dead > 0:
         segments.append(Segment(duration=dead))
-    _, r = evolve_exact(system, segments, (0j, 0j)).final_state
-    return ExciteResult(omega=omega, amplitude=abs(r), r_end=r,
-                        pulse_duration=pulse, dead_time=dead)
+    return evolve_exact(system, segments, (0j, 0j)).final_state[1]
 
 
 @dataclass(frozen=True)
@@ -325,7 +313,7 @@ class TransientResult:
     """Free-precession transient after a magnetic tilt pulse, with its fit."""
 
     trajectory: SpinTrajectory
-    fit: object               # SinusoidFit on R_x(t)
+    fit: object               # SinusoidFit on R_x(t) = Re r(t)
     predicted_decay: float    # slow-eigenmode decay rate, Hz
     predicted_frequency: float
     formula_decay: float      # closed-form hybrid width at the slow line
@@ -368,8 +356,9 @@ def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
     observe_efolds of the predicted slow decay, sampled at samples_per_cycle
     (which must exceed MIN_SAMPLES_PER_CYCLE) per slow-mode cycle (or
     e-fold, if that is shorter); white noise of noise_sigma, drawn from rng,
-    is added to the stored R_x. The decaying-sinusoid fit on R_x then
-    measures the hybridized linewidth without any optical drive.
+    is added to R_x, the real part of the stored r. The decaying-sinusoid
+    fit on R_x then measures the hybridized linewidth without any optical
+    drive.
     """
     gamma_slow, freq_slow, duration, sample_rate = _transient_grid(
         system, observe_efolds, samples_per_cycle)
@@ -378,11 +367,10 @@ def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
     traj = evolve_exact(system, [Segment(duration=duration)],
                         tilt_state(tilt_amplitude), sample_rate=sample_rate)
     if noise_sigma:
-        traj.r_x = traj.r_x + rng.normal(0.0, noise_sigma,
-                                         size=traj.r_x.shape)
+        traj.r.real += rng.normal(0.0, noise_sigma, size=traj.r.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        fit = fit_decaying_sinusoid(traj.times, traj.r_x)
+        fit = fit_decaying_sinusoid(traj.times, traj.r.real)
     formula = hybrid_linewidth(system, line_center(system) - system.omega_a)
     return TransientResult(trajectory=traj, fit=fit,
                            predicted_decay=gamma_slow,

@@ -4,8 +4,9 @@ Every runner consumes a resolved :class:`~nobleline.config.Bundle`, draws all
 randomness from child streams of the scenario seed (stable across runs
 and platforms), and returns a :class:`ScanResult`. Its ``table`` maps each
 points column, in CSV order, to one equal-length sequence; this module owns
-every column name (the ``*_COLUMNS`` tuples). ``write`` emits three files per
-scenario::
+every column name (the ``*_COLUMNS`` tuples) and is the one place where the
+complex coherences and lock-in amplitudes of the lower layers are split into
+real columns. ``write`` emits three files per scenario::
 
     <prefix>_points.csv        the table, one repr() per cell
     <prefix>_fit.json          fit reports and derived summary numbers
@@ -223,9 +224,11 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 resp.s2_out, omega, duration, fs, noise_sigma=sc.noise_sigma,
                 rng=rng if sc.noise_sigma else None)
             lockins.append(heterodyne_extract(t, s2_t, omega))
-        table["transmission"] = [(h.amplitude / abs(sc.signal_amplitude)) ** 2
-                                 for h in lockins]
-        table["phase"] = [h.phase for h in lockins]
+        # math.hypot, not abs(z): the two round differently in the last bit
+        table["transmission"] = [
+            (math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)) ** 2
+            for z in lockins]
+        table["phase"] = [math.atan2(-z.imag, z.real) for z in lockins]
     elif sc.noise_sigma > 0:
         table["transmission"] = [
             tr + rng.normal(0.0, sc.noise_sigma)
@@ -286,10 +289,10 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
 
     amps = []
     for omega, rng in zip(omegas.tolist(), rngs):
-        amp = excite_and_readout(
+        amp = abs(excite_and_readout(
             system, omega, s3_amplitude=sc.signal_amplitude,
             pulse_efolds=sc.pulse_efolds, ramp=ramp,
-            dead_efolds=sc.dead_efolds).amplitude
+            dead_efolds=sc.dead_efolds))
         if sc.noise_sigma > 0:
             amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
         amps.append(amp)
@@ -395,8 +398,8 @@ def run_transient(bundle: Bundle) -> ScanResult:
         "fitted_decay": fit.decay_rate,
         "fitted_frequency": fit.frequency,
     }
-    table = _table(TRAJECTORY_COLUMNS, traj.times, traj.f_x, traj.f_y,
-                   traj.r_x, traj.r_y)
+    table = _table(TRAJECTORY_COLUMNS, traj.times, traj.f.real, traj.f.imag,
+                   traj.r.real, traj.r.imag)
     return ScanResult(name="transient", table=table,
                       fits={"free_precession": fit.report()}, extras=extras,
                       provenance=_provenance(bundle))

@@ -346,8 +346,9 @@ def build_system(magnetics: MagneticConfig | None = None,
     (omega_a, omega_b, gamma_a, gamma_b, exchange_ab, exchange_ba, exchange,
     tilt_coeff, alkali_polarization) wins over the derived value, so scans can
     run directly on fitted numbers. A bare `exchange` override with no
-    derivable J_a/J_b sets a symmetric pair J_a = J_b = J; overriding all
-    three inconsistently is a ConfigError.
+    derivable J_a/J_b sets a symmetric pair J_a = J_b = J; giving it with
+    only one of the two rates, or with both inconsistently, is a
+    ConfigError.
     """
     overrides = dict(overrides or {})
     values: dict = {}
@@ -377,15 +378,20 @@ def build_system(magnetics: MagneticConfig | None = None,
         raise ConfigError(f"unknown system overrides: {sorted(overrides)}")
 
     if exchange is not None:
-        if "exchange_ab" in values and "exchange_ba" in values:
+        known = [k for k in ("exchange_ab", "exchange_ba") if k in values]
+        if len(known) == 1:
+            raise ConfigError(
+                f"exchange = {exchange} with only {known[0]} known leaves "
+                "the other rate open; give both exchange_ab and exchange_ba "
+                "or neither")
+        if known:
             j_sq = values["exchange_ab"] * values["exchange_ba"]
             if not math.isclose(j_sq, exchange**2, rel_tol=1e-9):
                 raise ConfigError(
                     f"exchange = {exchange} conflicts with exchange_ab*exchange_ba "
                     f"= {j_sq} (sqrt {math.sqrt(abs(j_sq)):.6g})")
         else:
-            values.setdefault("exchange_ab", exchange)
-            values.setdefault("exchange_ba", exchange)
+            values["exchange_ab"] = values["exchange_ba"] = exchange
 
     for key in ("omega_a", "omega_b"):
         if key not in values:

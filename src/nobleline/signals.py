@@ -2,9 +2,9 @@
 
 Spectral convention: a real channel with complex amplitude X at frequency
 omega is x(t) = Re[X exp(-2*pi*i*omega*t)]. Writing x(t) = A*cos(2*pi*omega*t
-+ phi) gives X = A*exp(-i*phi); the lock-in phase reported by
-:func:`heterodyne_extract` follows the same sign, phi = atan2(-b, a) for a
-fitted a*cos + b*sin.
++ phi) gives X = A*exp(-i*phi). :func:`heterodyne_extract` returns this X
+as z = a + i*b for a fitted a*cos + b*sin, so the lock-in phase is
+phi = atan2(-b, a).
 """
 
 from __future__ import annotations
@@ -251,32 +251,15 @@ class _Reported:
                 "flags": {k: bool(getattr(self, k)) for k in self.FLAGS}}
 
 
-@dataclass(frozen=True)
-class HarmonicFit:
-    """Least-squares single-tone extraction a*cos + b*sin + c at known omega."""
-
-    frequency: float
-    in_phase: float      # a
-    quadrature: float    # b
-    offset: float        # c
-    amplitude: float
-    phase: float         # radians, x(t) = A*cos(2*pi*f*t + phase)
-    residual_rms: float
-    n_points: int
-
-    @property
-    def z(self) -> complex:
-        """Spectral amplitude a + i*b (equals A*exp(-i*phase))."""
-        return complex(self.in_phase, self.quadrature)
-
-
 def heterodyne_extract(times: np.ndarray, series: np.ndarray,
-                       omega: float) -> HarmonicFit:
-    """Amplitude and lock-in phase of a known-frequency tone in a record.
+                       omega: float) -> complex:
+    """Lock-in amplitude z = a + i*b of a known-frequency tone in a record.
 
-    Linear least squares on [cos, sin, 1]; the window must span at least
-    MIN_DEMOD_PERIODS beat periods so the three regressors decorrelate.
-    The extraction is a point estimate: it carries no intervals.
+    Linear least squares on [cos, sin, 1] gives a*cos + b*sin + c; z equals
+    A*exp(-i*phi) for the tone A*cos(2*pi*omega*t + phi), so A = |z| and the
+    lock-in phase is phi = atan2(-b, a). The window must span at least
+    MIN_DEMOD_PERIODS beat periods so the three regressors decorrelate. The
+    extraction is a point estimate: it carries no intervals.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -290,12 +273,7 @@ def heterodyne_extract(times: np.ndarray, series: np.ndarray,
     arg = TWO_PI * omega * times
     design = np.column_stack([np.cos(arg), np.sin(arg), np.ones_like(times)])
     coef, _, _, _ = np.linalg.lstsq(design, series, rcond=None)
-    a, b, c = (float(v) for v in coef)
-    resid = series - design @ coef
-    return HarmonicFit(
-        frequency=omega, in_phase=a, quadrature=b, offset=c,
-        amplitude=math.hypot(a, b), phase=math.atan2(-b, a),
-        residual_rms=float(np.sqrt(np.mean(resid**2))), n_points=times.size)
+    return complex(coef[0], coef[1])
 
 
 @dataclass(frozen=True)

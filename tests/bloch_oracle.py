@@ -90,5 +90,5 @@ def integrate_bloch(system: SystemParams, segments,
         last = float(sol.t[-1]) if sol.t.size else 0.0
         raise ValidityError(f"integrator stopped at t = {last:.6g} s: "
                             f"{sol.message}")
-    return SpinTrajectory(times=sol.t, f_x=sol.y[0], f_y=sol.y[1],
-                          r_x=sol.y[2], r_y=sol.y[3])
+    return SpinTrajectory(times=sol.t, f=sol.y[0] + 1j * sol.y[1],
+                          r=sol.y[2] + 1j * sol.y[3])

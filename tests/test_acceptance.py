@@ -111,10 +111,10 @@ def test_criterion_3_rotating_wave_oracle():
             system, [Segment(duration=window, amplitude=1.0 + 0.0j,
                              omega=omega)],
             initial=start, rtol=1e-11, atol=1e-13, sample_rate=64.0 * omega)
-        z_f = (heterodyne_extract(traj.times, traj.f_x, omega).z
-               + 1j * heterodyne_extract(traj.times, traj.f_y, omega).z)
-        z_r = (heterodyne_extract(traj.times, traj.r_x, omega).z
-               + 1j * heterodyne_extract(traj.times, traj.r_y, omega).z)
+        z_f = (heterodyne_extract(traj.times, traj.f.real, omega)
+               + 1j * heterodyne_extract(traj.times, traj.f.imag, omega))
+        z_r = (heterodyne_extract(traj.times, traj.r.real, omega)
+               + 1j * heterodyne_extract(traj.times, traj.r.imag, omega))
         worst_demod = max(worst_demod,
                           abs(z_f - resp.f_plus) / abs(resp.f_plus),
                           abs(z_r - resp.r_plus) / abs(resp.r_plus))
@@ -196,7 +196,7 @@ def test_criterion_6_transient_agreement(bundle, sweep):
         record = evolve_exact(
             system, [Segment(duration=2.0 / (TWO_PI * gamma))], state,
             sample_rate=32.0 * abs(system.omega_b))
-        return fit_decaying_sinusoid(record.times, record.r_x).decay_rate
+        return fit_decaying_sinusoid(record.times, record.r.real).decay_rate
 
     d1 = decay_after_pulse(1.0)
     d10 = decay_after_pulse(10.0)

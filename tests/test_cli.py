@@ -126,6 +126,44 @@ def test_seed_override_lands_in_provenance(tmp_path, capsys):
     assert prov["scenario"]["seed"] == 123
 
 
+def test_negative_seed_override_exits_config(tmp_path, capsys):
+    # numpy's SeedSequence refuses a negative seed; the CLI must, first
+    out = tmp_path / "out"
+    code = main(["transient", "--config",
+                 write_ini(tmp_path / "f.ini", FAST_SYSTEM),
+                 "--out", str(out), "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, keys, named", [
+    ("optics", {"tilt_coeff": "1.0"}, ("faraday_coeff", "scattering_rate")),
+    ("system", {"exchange": "14", "exchange_ab": "20"},
+     ("exchange_ab", "exchange_ba")),
+], ids=["optics-tilt-only", "exchange-one-rate"])
+def test_half_given_coupling_exits_config(tmp_path, capsys, section, keys,
+                                          named):
+    # a partial set would be completed behind the user's back: the optics
+    # derivation overwrites the given coefficients, and a lone exchange rate
+    # used to pair with exchange itself as the other rate
+    sections = preset_sections()
+    if section == "system":  # no cell, so no derived rates
+        del sections["gas_cell"], sections["optics"]
+    sections[section].update(keys)
+    code = main(["derive-params", "--config",
+                 write_ini(tmp_path / "f.ini", sections)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    for key in named:
+        assert key in err
+
+
 def test_missing_config_exits_config(tmp_path, capsys):
     code = main(["spectrum", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)])
@@ -253,6 +291,7 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     ("calibrate", "fields", "5 6"),
     ("transient", "samples_per_cycle", "0"),
     ("spectrum", "demod_periods", "0"),
+    ("transient", "seed", "-1"),
 ])
 def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
                                         value):

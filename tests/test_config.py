@@ -115,6 +115,23 @@ def test_wavelength_and_photon_energy_exclusive():
     assert ok.optics.photon_energy == pytest.approx(2.5798e-19, rel=1e-3)
 
 
+def test_optics_couplings_are_all_given_or_all_derived():
+    raw = provenance_mapping(load_config(preset_path()))
+    derived = config_from_mapping(raw).optics
+    given = {"tilt_coeff": 1.0, "faraday_coeff": 2.0, "scattering_rate": 3.0}
+    ok = config_from_mapping({**raw, "optics": {**raw["optics"], **given}})
+    assert (ok.optics.tilt_coeff, ok.optics.faraday_coeff,
+            ok.optics.scattering_rate) == (1.0, 2.0, 3.0)
+    assert derived.tilt_coeff != 1.0
+    for key in given:
+        partial = {**raw["optics"], key: given[key]}
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({**raw, "optics": partial})
+        assert str(err.value).startswith("[optics] ")
+        for other in set(given) - {key}:
+            assert other in str(err.value)
+
+
 def test_values_that_overflow_the_derivation_rejected():
     # finite inputs whose derived values leave the float range
     raw = provenance_mapping(load_config(preset_path()))

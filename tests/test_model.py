@@ -181,6 +181,18 @@ def test_build_system_rejects_conflicting_exchange():
             "exchange": 99.0})
 
 
+def test_build_system_rejects_exchange_with_one_rate():
+    # exchange with one known rate fixes the other as exchange**2 / rate;
+    # rather than guess, refuse and name both rates
+    for rate in ("exchange_ab", "exchange_ba"):
+        with pytest.raises(ConfigError) as err:
+            build_system(overrides={"gamma_a": 1.0, "gamma_b": 0.1,
+                                    "omega_a": 1e3, "omega_b": 10.0,
+                                    "exchange": 14.0, rate: 20.0})
+        assert "exchange_ab" in str(err.value)
+        assert "exchange_ba" in str(err.value)
+
+
 def test_build_system_rejects_unknown_override():
     with pytest.raises(ConfigError):
         build_system(overrides={"gamma_a": 1.0, "gamma_b": 0.1,
