@@ -9,11 +9,14 @@ phi = atan2(-b, a).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import TWO_PI, FitConvergenceError, ValidityError, ValidityWarning
 
@@ -62,12 +65,97 @@ def stokes_time_series(s2: complex, omega: float, duration: float,
     return t, synthesize_channel(t, s2, omega, noise_sigma, rng)
 
 
-def _t_quantile(dof: int) -> float:
-    from scipy.special import stdtrit
+#: the normal quantile at (1 + CONFIDENCE)/2 = 0.975, as a double and the
+#: double nearest its rounding error
+_Z = (1.9599639845400543, -3.595246643491566e-17)
 
+#: from this dof up, the Cornish-Fisher series truncates below 0.2 ulp
+_CORNISH_FISHER_DOF = 500
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _atan(u: Decimal) -> Decimal:
+    """arctan(u) for u >= 0 at the context precision: halve the angle down
+    to u <= 1/8, then sum the Taylor series."""
+    doublings = 0
+    while u > Decimal("0.125"):
+        u = u / (1 + (1 + u * u).sqrt())
+        doublings += 1
+    total, term, u2, k = u, u, -u * u, 1
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    while abs(term) > tiny:
+        term *= u2
+        k += 2
+        total += term / k
+    return total * 2**doublings
+
+
+def _t_central(t: Decimal, dof: int) -> Decimal:
+    """P(|T| < t) of Student's t with integer dof, from the finite sums of
+    Abramowitz & Stegun 26.7.3-4 in theta = arctan(t / sqrt(dof))."""
+    c2 = dof / (dof + t * t)                    # cos^2 theta
+    sin = t / (dof + t * t).sqrt()
+    odd = dof % 2
+    term, total = Decimal(1), Decimal(0)
+    for k in range(dof // 2):
+        total += term
+        term = term * c2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if not odd:
+        return sin * total
+    return 2 * (_atan(t / Decimal(dof).sqrt()) + sin * c2.sqrt() * total) / _PI
+
+
+def _t_quantile_newton(dof: int) -> float:
+    """Newton's method on _t_central(t) = CONFIDENCE in 40 digits, started
+    at the normal quantile, which lies below every t quantile. The central
+    probability is concave in t > 0, so every iterate stays below the root
+    and rises to it. The density only has to be near the derivative for
+    that, so it comes from float64 lgamma."""
+    log_norm = (math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
+                - 0.5 * math.log(dof * math.pi))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        level = Decimal(repr(CONFIDENCE))       # 0.95, not its double
+        t = Decimal(_Z[0]) + Decimal(_Z[1])
+        while True:
+            tf = float(t)
+            density = math.exp(log_norm - 0.5 * (dof + 1)
+                               * math.log1p(tf * tf / dof))
+            step = (_t_central(t, dof) - level) / Decimal(2 * density)
+            t -= step
+            if abs(step) < Decimal("1e-25") * t:
+                return float(t)
+
+
+def _t_cornish_fisher(dof: int) -> float:
+    """t = x + sum g_k(x) / dof^k about the normal quantile x (Abramowitz &
+    Stegun 26.7.5 gives g1..g4; g5 is the next term of the same series,
+    checked against 50-digit quantiles). x's rounding error goes in with
+    the small terms, so the sum rounds once."""
+    x, x_lo = _Z
+    y = x * x
+    tail = 0.0
+    for g in (x * (((((27 * y + 339) * y + 930) * y - 1782) * y - 765) * y
+                   + 17955) / 368640,
+              x * ((((79 * y + 776) * y + 1482) * y - 1920) * y - 945) / 92160,
+              x * (((3 * y + 19) * y + 17) * y - 15) / 384,
+              x * ((5 * y + 16) * y + 3) / 96,
+              x * (y + 1) / 4):
+        tail = (tail + g) / dof
+    return x + (x_lo + tail)
+
+
+@functools.lru_cache(maxsize=None)
+def _t_quantile(dof: int) -> float:
+    """The (1 + CONFIDENCE)/2 = 0.975 quantile of Student's t with dof
+    degrees of freedom; inf below one. Cached: a run sees few dofs. Within
+    0.65 ulp of 45-digit values wherever checked, up to dof 10^6."""
     if dof < 1:
         return math.inf
-    return float(stdtrit(dof, 0.5 * (1.0 + CONFIDENCE)))
+    if dof >= _CORNISH_FISHER_DOF:
+        return _t_cornish_fisher(dof)
+    return _t_quantile_newton(dof)
 
 
 def _ci(value: float, se: float, dof: int) -> tuple[float, float]:
@@ -149,6 +237,21 @@ def _more_step(uf, s, V, full_rank, Delta, alpha):
     return p, alpha
 
 
+def _svd_uf(J: np.ndarray, f: np.ndarray):
+    """(U^T f, s, V^T) of the thin SVD J = U diag(s) V^T, from LAPACK's
+    gesdd through numpy's gufunc; U is freed on return. U and V^T are
+    written into Fortran-ordered buffers, as scipy.linalg.svd returns them:
+    BLAS sums U^T f and V (.) in layout order, and C-ordered factors of the
+    same values send a fit down another path from its first step."""
+    m, n = J.shape
+    k = min(m, n)
+    U = np.empty((m, k), order="F")
+    s = np.empty(k)
+    Vt = np.empty((k, n), order="F")
+    _umath_linalg.svd_s(J, out=(U, s, Vt), signature="d->ddd")
+    return U.T.dot(f), s, Vt
+
+
 def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     """Trust-region least squares to the float64 floor: (x, nfev, njev).
 
@@ -160,15 +263,11 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     when a trial residual is not finite.
     Checked against scipy 1.17.1, it returns the same x bits and nfev.
     It skips the Jacobian scipy evaluates after the terminating step, so
-    njev counts the Jacobians actually evaluated. The SVD stays
-    `scipy.linalg.svd`: its U and V^T are Fortran-ordered, and BLAS sums
-    U^T f and V (.) in layout order, so numpy's C-ordered factors of the
-    same values send the fit down another path from its first step.
-    Raises FitConvergenceError when the residual at x0 is not finite or the
-    evaluation budget runs out.
+    njev counts the Jacobians actually evaluated. The SVD comes from
+    _svd_uf, whose Fortran-ordered factors keep scipy's bits.
+    Raises FitConvergenceError when the residual at x0 is not finite, a
+    Jacobian is not finite, or the evaluation budget runs out.
     """
-    from scipy.linalg import svd
-
     x = np.array(x0, dtype=float)
     f = resid(x)
     if not np.isfinite(f).all():
@@ -188,8 +287,10 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
             raise FitConvergenceError(
                 f"{label} fit failed: The maximum number of function "
                 "evaluations is exceeded.", last_params=x)
-        U, s, Vt = svd(J, full_matrices=False)
-        uf = U.T.dot(f)
+        if not np.isfinite(J).all():
+            raise FitConvergenceError(f"{label} fit failed: Jacobian is not "
+                                      "finite.", last_params=x)
+        uf, s, Vt = _svd_uf(J, f)
         full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
         reduction, done = -1, False
         while reduction <= 0 and nfev < _TRF_MAX_NFEV:

@@ -309,6 +309,101 @@ def test_trf_residual_finite_only_at_x0_exhausts_the_budget():
         signals._trf(resid, np.ones(2), lambda p: a, "oracle")
 
 
+def test_trf_non_finite_jacobian_raises_fit_error():
+    # an inf in the Jacobian ends the fit with FitConvergenceError, which
+    # the CLI reports as a fit error, not with a traceback from the SVD
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    x0 = np.array([0.5, -0.5])
+
+    def jac(p):
+        return np.where(a == 0.0, np.inf, a)
+
+    with pytest.raises(FitConvergenceError,
+                       match="^oracle fit failed: Jacobian is not finite") \
+            as err:
+        signals._trf(lambda p: a @ p - 1.0, x0, jac, "oracle")
+    assert _same_bits(err.value.last_params, x0)
+
+
+def _rank_deficient_problem():
+    t = np.linspace(0.0, 1.0, 20)
+    return np.column_stack([t, t]), np.sin(7.0 * t)
+
+
+def _sinusoid_problem(samples):
+    t = np.arange(samples) / 64.0
+    y = np.exp(-TWO_PI * 0.01 * t) * np.cos(TWO_PI * 3.1 * t + 0.4)
+    resid, x0, jac = _fit_problem(fit_decaying_sinusoid, t, y)
+    return jac(x0), resid(x0)
+
+
+def _lorentzian_problem():
+    x = np.linspace(-6.0, 6.0, 49)
+    y = 1.0 - 0.5 / (x**2 + 1.0) + 1e-3 * np.cos(5.0 * x)
+    resid, x0, jac = _fit_problem(fit_inverted_lorentzian, x, y)
+    x0 = np.asarray(x0, dtype=float)
+    return jac(x0), resid(x0)
+
+
+@pytest.mark.parametrize("problem", [
+    _lorentzian_problem, lambda: _sinusoid_problem(191),
+    lambda: _sinusoid_problem(44_781), _rank_deficient_problem],
+    ids=["49x4", "191x5", "44781x5", "rank-deficient"])
+def test_svd_uf_matches_scipy_bit_for_bit(problem):
+    # numpy's gufunc writing into Fortran-ordered U and V^T gives the bits
+    # of scipy.linalg.svd, on which the TRF port's bit-for-bit match rests
+    from scipy.linalg import svd
+
+    J, f = problem()
+    U, s, Vt = svd(J, full_matrices=False)
+    uf_, s_, Vt_ = signals._svd_uf(J, f)
+    assert np.array_equal(uf_, U.T.dot(f))
+    assert np.array_equal(s_, s)
+    assert np.array_equal(Vt_, Vt) and Vt_.flags.f_contiguous
+
+
+# 0.975 quantiles to 30 digits, from mpmath 1.3's regularized incomplete beta
+# at 45 digits, where the t CDF equals 0.975 exactly
+T_QUANTILES_975 = {1: "12.7062047361747046460216799788",
+                   3: "3.18244630528370959272322542578",
+                   6: "2.44691185114496997107129684555",
+                   11: "2.2009851600916398678772003617"}
+
+# every dof that the acceptance tests and the benchmark workloads give
+# their fits: linear fits over 5 and 13 fields, 49-point line scans, and
+# free-precession records of up to 548,570 samples
+RUN_DOFS = (1, 3, 11, 13, 19, 45, 186, 576, 1238, 2397, 4442, 9618, 22386,
+            24759, 44776, 44978, 67135, 93962, 125887, 160779, 201758,
+            248834, 305016, 371783, 452018, 548565)
+
+
+@pytest.mark.parametrize("dof", T_QUANTILES_975)
+def test_t_quantile_is_correctly_rounded(dof):
+    assert signals._t_quantile(dof) == float(T_QUANTILES_975[dof])
+
+
+def test_t_quantile_within_8_ulp_of_scipy():
+    # scipy's stdtrit is 19 ulp above the 45-digit value at dof 6 (tested
+    # above); at every other dof up to 10^6 the two are within 6 ulp
+    from scipy.special import stdtrit
+
+    dofs = np.unique(np.concatenate([
+        np.arange(1, 2001), np.geomspace(1, 1e6, 2000).astype(int),
+        RUN_DOFS]))
+    dofs = dofs[dofs != 6]
+    ours = np.array([signals._t_quantile(int(d)) for d in dofs])
+    theirs = stdtrit(dofs.astype(float), 0.975)
+    ulps = np.abs(ours - theirs) / np.spacing(theirs)
+    assert ulps.max() <= 8, dofs[ulps > 8]
+
+
+def test_t_quantile_is_cached_and_infinite_without_dof():
+    assert signals._t_quantile(0) == math.inf
+    hits = signals._t_quantile.cache_info().hits
+    assert signals._t_quantile(45) == signals._t_quantile(45)
+    assert signals._t_quantile.cache_info().hits > hits
+
+
 def _line_fit():
     x = np.linspace(-8.0, 8.0, 41)
     return fit_inverted_lorentzian(x, 1.0 - 0.5 / (x**2 + 1.0))
