@@ -29,6 +29,6 @@ from .signals import (LineFit, LinearFit, SinusoidFit, fit_decaying_sinusoid,
 from .spectrum import (LineShape, S2Response, alkali_coherence,
                        evaluate_spectrum, hybrid_linewidth, line_center,
                        line_shape, noble_coherence, phase_shift,
-                       power_transmission, s2_response, transmitted_ratio)
+                       s2_response, transmitted_ratio)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,14 +8,14 @@ stderr of the form ``nobleline: error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .config import SCENARIO_NAMES, load_config, preset_path, scenario_with
+from .config import (OPTICS_COUPLINGS, SCENARIO_NAMES, load_config,
+                     preset_path, scenario_with)
 from .dynamics import slow_mode
-from .experiments import run_scenario
+from .experiments import run_scenario, write_json
 from .model import (ConfigError, FitConvergenceError, NoblelineError,
                     ValidityError)
 from .spectrum import line_shape
@@ -131,25 +131,14 @@ def _check_config(args) -> int:
 
 def _derive_params(args) -> int:
     bundle = _load(args)
-    system = bundle.system
-    out = {
-        "omega_a": system.omega_a, "omega_b": system.omega_b,
-        "gamma_a": system.gamma_a, "gamma_b": system.gamma_b,
-        "exchange_ab": system.exchange_ab, "exchange_ba": system.exchange_ba,
-        "exchange": system.exchange, "tilt_coeff": system.tilt_coeff,
-        "alkali_polarization": system.alkali_polarization,
-    }
+    system, optics = bundle.system, bundle.optics
+    out = {**asdict(system), "exchange": system.exchange}
     decay, freq = slow_mode(system)
     out["slow_mode"] = {"decay": decay, "frequency": freq}
-    if bundle.optics is not None:
-        line = line_shape(system, bundle.optics)
-        out["line"] = {"center": line.center, "half_width": line.half_width,
-                       "depth": line.depth, "contrast": line.contrast}
-        out["optics"] = {"tilt_coeff": bundle.optics.tilt_coeff,
-                         "faraday_coeff": bundle.optics.faraday_coeff,
-                         "scattering_rate": bundle.optics.scattering_rate}
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    if optics is not None:
+        out["line"] = asdict(line_shape(system, optics))
+        out["optics"] = {k: getattr(optics, k) for k in OPTICS_COUPLINGS}
+    write_json(out, sys.stdout)
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from importlib import resources
+from pathlib import PurePath
 
 from .model import (PLANCK, SPEED_OF_LIGHT, ConfigError, GasCell,
                     MagneticConfig, OpticalParams, SystemParams, build_system,
@@ -114,6 +115,10 @@ class ScenarioConfig:
         for knob in ("signal_amplitude", "tilt_amplitude"):
             if not abs(getattr(self, knob)) > 0:
                 raise ConfigError(f"{knob} must be nonzero")
+        prefix = PurePath(self.out_prefix)
+        if prefix.is_absolute() or ".." in prefix.parts:
+            raise ConfigError(f"out_prefix {self.out_prefix!r} must stay "
+                              "inside --out: no absolute path and no '..'")
 
 
 def _float_keys(cls, *inputs) -> dict:
@@ -182,7 +187,7 @@ def _resolve_photon_energy(optics_map: dict) -> dict:
 
 
 #: [optics] coefficients that are either all given or all derived
-_OPTICS_COUPLINGS = ("tilt_coeff", "faraday_coeff", "scattering_rate")
+OPTICS_COUPLINGS = ("tilt_coeff", "faraday_coeff", "scattering_rate")
 
 
 def config_from_mapping(raw: dict) -> Bundle:
@@ -206,9 +211,9 @@ def config_from_mapping(raw: dict) -> Bundle:
         optics = None
         if "optics" in typed:
             optics = OpticalParams(**_resolve_photon_energy(typed["optics"]))
-            missing = [k for k in _OPTICS_COUPLINGS
+            missing = [k for k in OPTICS_COUPLINGS
                        if getattr(optics, k) is None]
-            if 0 < len(missing) < len(_OPTICS_COUPLINGS):
+            if 0 < len(missing) < len(OPTICS_COUPLINGS):
                 raise ConfigError("[optics] gives only part of the coupling "
                                   f"coefficients; add {', '.join(missing)} "
                                   "or drop the others to derive all three")
@@ -250,11 +255,8 @@ def load_config(path) -> Bundle:
 
 def provenance_mapping(bundle: Bundle) -> dict:
     """JSON-safe resolved mapping, reloadable via config_from_mapping."""
-    out = {}
-    for section, entries in bundle.mapping.items():
-        out[section] = {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in entries.items()}
-    return out
+    return {section: dict(entries)
+            for section, entries in bundle.mapping.items()}
 
 
 def scenario_with(scenario: ScenarioConfig, **updates) -> ScenarioConfig:

@@ -49,6 +49,10 @@ TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
 #: one costs about 0.3 kB per sample, so this cap holds a transient near 1.2 GB
 MAX_RECORD_SAMPLES = 4_000_000
 
+#: widest core spacing of a scan, in half-widths: one point per full width
+#: of the line (the default scan's is 0.25)
+MAX_CORE_SPACING = 2.0
+
 
 def _package_version() -> str:
     try:
@@ -94,15 +98,20 @@ class ScanResult:
 
         fitp = os.path.join(outdir, f"{prefix}_fit.json")
         with _replacing(fitp) as fh:
-            json.dump({"scenario": self.name, "fits": self.fits,
-                       "extras": self.extras}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json({"scenario": self.name, "fits": self.fits,
+                        "extras": self.extras}, fh)
 
         provp = os.path.join(outdir, f"{prefix}_provenance.json")
         with _replacing(provp) as fh:
-            json.dump(self.provenance, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(self.provenance, fh)
         return [points, fitp, provp]
+
+
+def write_json(doc, fh) -> None:
+    """The one JSON format of every output: indent 2, sorted keys, and a
+    trailing newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 @contextlib.contextmanager
@@ -130,8 +139,7 @@ def _provenance(bundle: Bundle) -> dict:
         "version": _package_version(),
         "params_hash": bundle.system.params_hash(),
         "seed": bundle.scenario.seed,
-        "scenario": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in asdict(bundle.scenario).items()},
+        "scenario": asdict(bundle.scenario),
         "config": provenance_mapping(bundle),
     }
 
@@ -165,9 +173,17 @@ def _check_record_sizes(scenario, sizes, knobs=("observe_efolds",
 
 def _detuning_grid(scenario, gamma: float) -> np.ndarray:
     """Scan detunings: a dense core of `points` across +-span, plus
-    symmetric far-baseline points that pin the fit's flat level."""
-    core = np.linspace(-scenario.span_halfwidths, scenario.span_halfwidths,
-                       scenario.points)
+    symmetric far-baseline points that pin the fit's flat level. A core
+    that cannot resolve its line is refused before anything is computed."""
+    span, points = scenario.span_halfwidths, scenario.points
+    spacing = 2.0 * span / (points - 1)
+    if not (span > 0 and spacing <= MAX_CORE_SPACING):
+        raise ConfigError(
+            f"span_halfwidths = {span:g} and points = {points} cannot resolve "
+            "the line: a scan needs span_halfwidths > 0 and a core spacing "
+            f"2*span_halfwidths/(points - 1) of at most {MAX_CORE_SPACING:g} "
+            f"half-widths (here {spacing:g})")
+    core = np.linspace(-span, span, points)
     wings = np.array(sorted(set(abs(h) for h in scenario.baseline_halfwidths)))
     grid = np.concatenate([-wings[::-1], core, wings]) * gamma
     return np.unique(grid)
@@ -339,18 +355,17 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 
     centers, widths, contrasts, freqs, decays = [], [], [], [], []
     for system, rng in zip(systems, rngs):
-        center = line_center(system)
-        centers.append(center)
-        widths.append(2.0 * hybrid_linewidth(system, center - system.omega_a))
+        centers.append(line_center(system))
         contrasts.append(line_shape(system, bundle.optics).contrast
                          if bundle.optics is not None else math.nan)
-        fit = magnetic_pulse_transient(
+        res = magnetic_pulse_transient(
             system, tilt_amplitude=sc.tilt_amplitude,
             observe_efolds=sc.observe_efolds,
             samples_per_cycle=sc.samples_per_cycle,
-            noise_sigma=sc.noise_sigma, rng=rng).fit
-        freqs.append(fit.frequency)
-        decays.append(fit.decay_rate)
+            noise_sigma=sc.noise_sigma, rng=rng)
+        widths.append(2.0 * res.formula_decay)
+        freqs.append(res.fit.frequency)
+        decays.append(res.fit.decay_rate)
     table = _table(SWEEP_COLUMNS, [float(b) for b in sc.fields],
                    [s.omega_b for s in systems], centers, widths, contrasts,
                    freqs, decays)

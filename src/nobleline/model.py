@@ -42,6 +42,11 @@ ELECTRON_RADIUS = 2.8179403205e-15 * 1e2
 #: calibration point in the magnetics config overrides it)
 HE3_GYROMAGNETIC = 3.243
 
+#: the hybridization is perturbative while |omega_a - omega_b| stays at least
+#: this many gamma_a apart; at the line delta_a is about omega_b - omega_a,
+#: so the same ratio selects the spectrum's far-detuned closed form
+FAR_DETUNED_RATIO = 10.0
+
 
 class NoblelineError(Exception):
     """Base class for package errors."""
@@ -256,33 +261,35 @@ def derive_larmor(magnetics: MagneticConfig, field: float | None = None,
     omega_a = g_a * (B - B0_b) and omega_b = g_b * (B - B0_a); each species
     precesses in the bias field plus the effective field of the other,
     polarized species. Signs are preserved. When `gamma_a` is given, emits a
-    ValidityWarning if the two frequencies approach within 10*gamma_a, where
-    the perturbative hybridization picture degrades.
+    ValidityWarning if the two frequencies approach within
+    FAR_DETUNED_RATIO*gamma_a, where the perturbative hybridization picture
+    degrades.
     """
     b = magnetics.field if field is None else field
     omega_a = magnetics.alkali_gyromagnetic * (b - magnetics.noble_emf)
     omega_b = magnetics.noble_gyromagnetic * (b - magnetics.alkali_emf)
-    if gamma_a is not None and abs(omega_a - omega_b) < 10.0 * gamma_a:
+    if gamma_a is not None \
+            and abs(omega_a - omega_b) < FAR_DETUNED_RATIO * gamma_a:
         warnings.warn(
             f"|omega_a - omega_b| = {abs(omega_a - omega_b):.3g} Hz is within "
-            f"10*gamma_a = {10 * gamma_a:.3g} Hz; hybridization formulas degrade",
-            ValidityWarning, stacklevel=2)
+            f"{FAR_DETUNED_RATIO:g}*gamma_a = {FAR_DETUNED_RATIO * gamma_a:.3g}"
+            " Hz; hybridization formulas degrade", ValidityWarning, stacklevel=2)
     return omega_a, omega_b
 
 
-def derive_exchange_rates(cell: GasCell) -> tuple[float, float, float]:
-    """Exchange rates (J_a, J_b, J) from cell composition.
+def derive_exchange_rates(cell: GasCell) -> tuple[float, float]:
+    """Exchange rates (J_a, J_b) from cell composition.
 
     J_a = q_a * zeta * n_b * p_a / 2 is the rate the noble-gas magnetization
-    imprints on the alkali; J_b = zeta * n_a * p_b / 2 the converse;
-    J = sqrt(J_a * J_b) is the hybridization rate. Already in angular-Hz by
-    the convention on zeta.
+    imprints on the alkali; J_b = zeta * n_a * p_b / 2 the converse (their
+    geometric mean is SystemParams.exchange). Already in angular-Hz by the
+    convention on zeta.
     """
     j_a = cell.slowing_factor * cell.exchange_coefficient * cell.noble_density \
         * cell.alkali_polarization / 2.0
     j_b = cell.exchange_coefficient * cell.alkali_density \
         * cell.noble_polarization / 2.0
-    return j_a, j_b, math.sqrt(j_a * j_b)
+    return j_a, j_b
 
 
 def derive_optics(optics: OpticalParams, cell: GasCell) -> OpticalParams:
@@ -364,16 +371,15 @@ def build_system(magnetics: MagneticConfig | None = None,
         values["omega_a"], values["omega_b"] = derive_larmor(
             magnetics, gamma_a=gamma_a)
     if cell is not None:
-        values["exchange_ab"], values["exchange_ba"], _ = derive_exchange_rates(cell)
+        values["exchange_ab"], values["exchange_ba"] = derive_exchange_rates(cell)
         values["alkali_polarization"] = cell.alkali_polarization
     if optics is not None and optics.tilt_coeff is not None:
         values["tilt_coeff"] = optics.tilt_coeff
 
     exchange = overrides.pop("exchange", None)
-    for key in ("omega_a", "omega_b", "exchange_ab", "exchange_ba",
-                "tilt_coeff", "alkali_polarization"):
-        if key in overrides:
-            values[key] = overrides.pop(key)
+    for f in fields(SystemParams):  # gamma_a and gamma_b are popped above
+        if f.name in overrides:
+            values[f.name] = overrides.pop(f.name)
     if overrides:
         raise ConfigError(f"unknown system overrides: {sorted(overrides)}")
 

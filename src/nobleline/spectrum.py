@@ -20,12 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (Detunings, OpticalParams, SystemParams, ValidityError,
-                    compute_detunings, exchange_denominator)
-
-#: |delta_a| >= FAR_DETUNED_RATIO * gamma_a selects the factored closed form
-#: of the transmitted amplitude; below it the general coherence form is used.
-FAR_DETUNED_RATIO = 10.0
+# |delta_a| >= FAR_DETUNED_RATIO * gamma_a selects the factored closed form
+# of the transmitted amplitude; below it the general coherence form is used.
+from .model import (FAR_DETUNED_RATIO, Detunings, OpticalParams, SystemParams,
+                    ValidityError, compute_detunings, exchange_denominator)
 
 #: line_center's relative convergence tolerance and iteration budget
 LINE_CENTER_TOL = 1e-14
@@ -117,28 +115,28 @@ class LineShape:
     contrast: float
 
 
-def _depth_prefactor(system: SystemParams, optics: OpticalParams) -> float:
-    # (p_a * OD / 2) * (gamma'_a / gamma_a); multiply by (gamma - gamma_b)/gamma
+def _depth(system: SystemParams, optics: OpticalParams, gamma: float) -> float:
+    """Line depth at half-width gamma: the photon budget times the
+    hybridization fraction,
+    C0 = (p_a * OD / 2) * (gamma'_a / gamma_a) * ((gamma - gamma_b) / gamma).
+    """
     if system.gamma_a == 0.0:
         raise ValidityError("no absorption line: gamma_a is zero, so the "
                             "depth gamma'_a/gamma_a is undefined")
     return (system.alkali_polarization * optics.optical_depth / 2.0) \
-        * (optics.scattering_rate / system.gamma_a)
+        * (optics.scattering_rate / system.gamma_a) \
+        * ((gamma - system.gamma_b) / gamma)
 
 
 def line_shape(system: SystemParams, optics: OpticalParams) -> LineShape:
-    """Lorentzian line parameters for a far-detuned probe of the hybrid line.
-
-    depth combines the photon budget and the hybridization fraction:
-    C0 = (p_a * OD / 2) * (gamma'_a / gamma_a) * ((gamma - gamma_b) / gamma).
-    """
+    """Lorentzian line parameters for a far-detuned probe of the hybrid line
+    (depth as in _depth)."""
     optics.require_derived()
     center = line_center(system)
     gamma = hybrid_linewidth(system, center - system.omega_a)
     if gamma <= 0.0:
         raise ValidityError("no absorption line: hybrid width is zero")
-    depth = _depth_prefactor(system, optics) \
-        * ((gamma - system.gamma_b) / gamma)
+    depth = _depth(system, optics, gamma)
     return LineShape(center=center, half_width=gamma, depth=depth,
                      contrast=depth * (2.0 - depth))
 
@@ -151,12 +149,6 @@ def transmitted_ratio(gamma: float, depth: float, delta: float) -> complex:
     phase -arg(.) is identically :func:`phase_shift`.
     """
     return 1.0 - depth * gamma / complex(gamma, -delta)
-
-
-def power_transmission(line: LineShape, delta: float) -> float:
-    """Transmitted power fraction 1 - C*gamma^2/(Delta^2 + gamma^2)."""
-    g2 = line.half_width**2
-    return 1.0 - line.contrast * g2 / (delta**2 + g2)
 
 
 def phase_shift(line: LineShape, delta: float) -> float:
@@ -221,9 +213,8 @@ def s2_response(omega: float, system: SystemParams, optics: OpticalParams,
         branch = "far"
         gamma = hybrid_linewidth(system, d.delta_a)
         if gamma > 0.0:
-            depth = _depth_prefactor(system, optics) \
-                * ((gamma - system.gamma_b) / gamma)
-            s2_out = s2_in * transmitted_ratio(gamma, depth, d.delta_hybrid)
+            s2_out = s2_in * transmitted_ratio(
+                gamma, _depth(system, optics, gamma), d.delta_hybrid)
         else:
             s2_out = s2_in
     else:

@@ -1,12 +1,19 @@
 """Command-line interface: exit codes, outputs, locking, overrides."""
 
 import configparser
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nobleline
 from nobleline.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_VALIDITY,
@@ -436,3 +443,106 @@ def test_oversized_record_exits_config_before_evolving(
     assert err.startswith("nobleline: error: config:")
     assert err.count("\n") == 1
     assert all(knob in err for knob in knobs), err
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("spectrum", {"span_halfwidths": "1e9"}),
+    ("excite", {"points": "5", "span_halfwidths": "1e6"}),
+    ("spectrum", {"span_halfwidths": "0"}),
+    ("excite", {"span_halfwidths": "-5"}),
+], ids=["spectrum-1e9", "excite-5-points-1e6", "spectrum-zero-span",
+        "excite-negative-span"])
+def test_unresolved_scan_exits_config_before_any_work(
+        tmp_path, capsys, monkeypatch, command, scenario):
+    # a core far coarser than the line used to burn the dip fit's whole
+    # budget before exit 2; a zero span collapsed the core to one point, and
+    # a negative one silently ran the positive grid
+    import nobleline.experiments as experiments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scan ran before its grid was checked")
+
+    for name in ("evaluate_spectrum", "excite_and_readout",
+                 "fit_inverted_lorentzian"):
+        monkeypatch.setattr(experiments, name, unreachable)
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    out = tmp_path / "out"
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "span_halfwidths" in err and "points" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("prefix", ["../x", "ABSOLUTE"],
+                         ids=["parent", "absolute"])
+def test_out_prefix_outside_out_exits_config(tmp_path, capsys, prefix):
+    # either prefix used to write all three files outside --out
+    if prefix == "ABSOLUTE":
+        prefix = str(tmp_path / "abs_x")
+    sections = {**FAST_SYSTEM, "scenario": {"out_prefix": prefix}}
+    out = tmp_path / "out"
+    code = main(["transient", "--config",
+                 write_ini(tmp_path / "f.ini", sections), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "out_prefix" in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ini"]
+
+
+def _small_scenario(draw):
+    """[scenario] knobs of a small run, as INI strings."""
+    scenario = {
+        "seed": draw(st.integers(0, 2**32)),
+        "noise_sigma": draw(st.sampled_from([0.0, 0.01])),
+        "points": draw(st.integers(5, 11)),
+        "span_halfwidths": draw(st.floats(0.5, 6.0)),
+        "observe_efolds": draw(st.floats(0.05, 0.5)),
+        "samples_per_cycle": draw(st.floats(4.5, 16.0)),
+        "pulse_efolds": draw(st.floats(1.0, 4.0)),
+        "dead_efolds": draw(st.floats(0.0, 2.0)),
+        "demod_periods": draw(st.floats(2.0, 8.0)),
+        "method": draw(st.sampled_from(["closed_form", "demodulated"])),
+        "trials": draw(st.integers(1, 3)),
+        "fields": " ".join(map(str, draw(st.lists(
+            st.sampled_from([4.0, 5.0, 6.1, 7.3, 8.8]), min_size=3,
+            max_size=4, unique=True)))),
+    }
+    scenario["ramp_efolds"] = draw(st.sampled_from([0.0, 0.25])) \
+        * scenario["pulse_efolds"]
+    return {key: str(value) for key, value in scenario.items()}
+
+
+CLI_COMMANDS = ["spectrum", "excite", "sweep-field", "transient",
+                "calibrate", "check-config", "derive-params"]
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_small_configs_never_raise_and_fail_on_one_line(command, data):
+    # any small config the loader takes either runs or fails with one
+    # machine-parsable line and an exit code that names its kind
+    sections = preset_sections()
+    sections["scenario"].update(_small_scenario(data.draw))
+    if data.draw(st.booleans()):
+        del sections["optics"]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--config", write_ini(Path(tmp) / "f.ini", sections)]
+        if command not in ("check-config", "derive-params"):
+            argv += ["--out", str(Path(tmp) / "out"), "--quiet"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_VALIDITY)
+    assert err.getvalue().count("nobleline: error:") <= 1
+    assert (code == EXIT_OK) == (err.getvalue() == "")

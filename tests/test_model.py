@@ -78,10 +78,10 @@ def test_gas_cell_rejects_bad_values(key, value):
 
 
 def test_exchange_rates_reference_values():
-    j_a, j_b, j = derive_exchange_rates(GasCell(**REFERENCE_CELL))
+    j_a, j_b = derive_exchange_rates(GasCell(**REFERENCE_CELL))
     assert j_a == pytest.approx(207194.8986555361, rel=1e-12)
     assert j_b == pytest.approx(0.0009459692360758952, rel=1e-12)
-    assert j == pytest.approx(14.0, rel=1e-12)
+    assert reference_system().exchange == pytest.approx(14.0, rel=1e-12)
 
 
 def test_exchange_identity_holds_to_machine_precision():

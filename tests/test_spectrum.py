@@ -1,6 +1,5 @@
 """Closed-form steady-state response: widths, line shape, transmission."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +9,7 @@ from nobleline.model import ValidityError, compute_detunings
 from nobleline.spectrum import (FAR_DETUNED_RATIO, S2Response,
                                 alkali_coherence, evaluate_spectrum,
                                 hybrid_linewidth, line_center, line_shape,
-                                noble_coherence, phase_shift,
-                                power_transmission, s2_response,
-                                transmitted_ratio)
+                                noble_coherence, phase_shift, s2_response)
 
 
 @pytest.fixture(scope="module")
@@ -87,20 +84,6 @@ def test_line_shape_reference(bundle):
     assert line.contrast == pytest.approx(0.5299810659450424, rel=1e-12)
     assert line.contrast == pytest.approx(line.depth * (2 - line.depth),
                                           rel=1e-15)
-
-
-def test_transmitted_ratio_identities(bundle):
-    # |1 - C0*g/(g - i*D)|^2 == 1 - C*g^2/(D^2 + g^2) exactly, and the
-    # lock-in phase -arg(.) equals the closed-form phase expression.
-    line = line_shape(bundle.system, bundle.optics)
-    g, c0 = line.half_width, line.depth
-    deltas = np.linspace(-40 * g, 40 * g, 1001)
-    for delta in deltas:
-        ratio = transmitted_ratio(g, c0, float(delta))
-        power = power_transmission(line, float(delta))
-        assert abs(abs(ratio) ** 2 - power) <= 1e-12
-        phase = -math.atan2(ratio.imag, ratio.real)
-        assert abs(phase - phase_shift(line, float(delta))) <= 1e-12
 
 
 def test_phase_shift_signs(bundle):

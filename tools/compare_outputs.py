@@ -16,12 +16,13 @@ from its own packaged preset with a few [scenario] overrides:
 
 each at seeds 1 and 20260819, three files per run: 66 files per side.
 It also compares each side's stdout of `check-config` and `derive-params`
-on the packaged preset. The tool prints one `DIFF <case>/<file>` or
-`DIFF stdout/<command>` line for each output that differs or is missing on
-one side, and one `FAIL <side> <case>` line for each run that exits
-non-zero. It exits 1 if there was any, else 0. Both sides together take
-about two minutes on a 2-vCPU x86-64 VM, most of it in the sweep-field and
-calibrate runs.
+on the packaged preset, and of `derive-params` on the preset with [optics]
+removed (no line and no optics block). The tool prints one
+`DIFF <case>/<file>` or `DIFF stdout/<case>` line for each output that
+differs or is missing on one side, and one `FAIL <side> <case>` line for
+each run that exits non-zero. It exits 1 if there was any, else 0. Both
+sides together take about two minutes on a 2-vCPU x86-64 VM, most of it in
+the sweep-field and calibrate runs.
 """
 
 from __future__ import annotations
@@ -53,11 +54,15 @@ CASES = {
     "calibrate": ("calibrate", {}),
 }
 
-# case name -> preset sections it runs without
-DROPPED_SECTIONS = {"sweep_field_no_optics": ("optics",)}
+# stdout case name -> CLI command; a case that drops no section (below)
+# runs on the packaged preset itself
+STDOUT_CASES = {"check-config": "check-config",
+                "derive-params": "derive-params",
+                "derive-params_no_optics": "derive-params"}
 
-# commands whose stdout is compared, run on the packaged preset
-STDOUT_COMMANDS = ("check-config", "derive-params")
+# case name -> preset sections it runs without
+DROPPED_SECTIONS = {"sweep_field_no_optics": ("optics",),
+                    "derive-params_no_optics": ("optics",)}
 
 
 def write_config(src: Path, overrides: dict, path: Path,
@@ -91,6 +96,18 @@ def run_side(src: Path, work: Path, case: str, seed: int) -> tuple[Path, str]:
     done = run_cli(src, command, "--config", str(config), "--out", str(out),
                    "--seed", str(seed), "--quiet")
     return out, failure(done)
+
+
+def run_stdout_case(src: Path, work: Path, case: str
+                    ) -> subprocess.CompletedProcess:
+    """Run one stdout case on one side."""
+    command = STDOUT_CASES[case]
+    if case not in DROPPED_SECTIONS:
+        return run_cli(src, command)
+    work.mkdir(parents=True, exist_ok=True)
+    config = work / f"{case}.ini"
+    write_config(src, {}, config, DROPPED_SECTIONS[case])
+    return run_cli(src, command, "--config", str(config))
 
 
 def run_cli(src: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -139,18 +156,18 @@ def main(argv=None) -> int:
                             and a.read_bytes() == b.read_bytes()):
                         problems += 1
                         print(f"DIFF {rel}")
-    for command in STDOUT_COMMANDS:
-        stdouts = set()
-        for name, src in sides.items():
-            done = run_cli(src, command)
-            stdouts.add(done.stdout)
-            if err := failure(done):
+        for case in STDOUT_CASES:
+            stdouts = set()
+            for name, src in sides.items():
+                done = run_stdout_case(src, Path(tmp) / name, case)
+                stdouts.add(done.stdout)
+                if err := failure(done):
+                    problems += 1
+                    print(f"FAIL {name} {case}: {err.splitlines()[-1]}")
+            if len(stdouts) > 1:
                 problems += 1
-                print(f"FAIL {name} {command}: {err.splitlines()[-1]}")
-        if len(stdouts) > 1:
-            problems += 1
-            print(f"DIFF stdout/{command}")
-    print(f"compared {compared} files and {len(STDOUT_COMMANDS)} stdouts: "
+                print(f"DIFF stdout/{case}")
+    print(f"compared {compared} files and {len(STDOUT_CASES)} stdouts: "
           f"{'no differences' if not problems else f'{problems} problems'}")
     return 1 if problems else 0
 
