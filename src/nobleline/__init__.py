@@ -11,6 +11,9 @@ All rates and frequencies follow a single convention described in
 :mod:`nobleline.model`.
 """
 
+# before the imports: experiments reads it while the package initializes
+__version__ = "0.1.0"
+
 from .config import (Bundle, ScenarioConfig, config_from_mapping, load_config,
                      preset_path, scenario_with)
 from .dynamics import (Segment, SidebandResponse, SpinTrajectory,

@@ -73,9 +73,8 @@ def _load(args):
 
 def _run_scenario_command(args, scenario_name: str) -> int:
     bundle = _load(args)
-    scenario = scenario_with(bundle.scenario, name=scenario_name)
-    if args.seed is not None:
-        scenario = scenario_with(scenario, seed=args.seed)
+    seed = bundle.scenario.seed if args.seed is None else args.seed
+    scenario = scenario_with(bundle.scenario, name=scenario_name, seed=seed)
     bundle = replace(bundle, scenario=scenario)
     prefix = scenario.out_prefix or scenario.name
 

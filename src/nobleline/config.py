@@ -10,8 +10,10 @@ plus [optics] wavelength and [system] exchange; that class's constructor
 names any required key left out. Unknown sections or keys are hard errors:
 a typo that silently reverts a parameter to its default would poison a scan.
 
-The resolved, typed mapping travels into every output's provenance block and
-can be fed back through :func:`config_from_mapping` to reproduce a run.
+A scenario run writes these typed sections, with [scenario] replaced by every
+field of the scenario it ran (the CLI command and --seed applied), as the
+``config`` block of its provenance file; :func:`config_from_mapping` resolves
+that block back into the same run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ DEFAULT_FIELD_GRID = (4.0, 5.0, 6.1, 7.3, 8.8, 10.7, 12.9, 15.6, 18.8,
 
 SCENARIO_NAMES = ("spectrum", "excite", "sweep_field", "transient",
                   "calibrate")
+
+#: largest `points` and `trials`: a closed-form spectrum point costs about
+#: 1.8 kB and 45 us (200,001 points peaked at 403 MB in 9.1 s) and a trial's
+#: random stream about 1 kB, so this cap holds a scan under 1 GB, inside the
+#: 1.2 GB budget of experiments.MAX_RECORD_SAMPLES
+MAX_SCAN_ROWS = 500_000
 
 
 def _parse_float(text):
@@ -92,12 +100,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario method {self.method!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.points < 5:
-            raise ConfigError("scenario needs at least 5 grid points")
+        if not 5 <= self.points <= MAX_SCAN_ROWS:
+            raise ConfigError(f"points must be between 5 and {MAX_SCAN_ROWS}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_SCAN_ROWS:
+            raise ConfigError(f"trials must be between 1 and {MAX_SCAN_ROWS}")
         if len(set(self.fields)) != len(self.fields) or len(self.fields) < 3:
             raise ConfigError("fields must hold at least 3 distinct values")
         for knob in ("pulse_efolds", "observe_efolds", "demod_periods"):
@@ -251,12 +259,6 @@ def load_config(path) -> Bundle:
     if not raw:
         raise ConfigError(f"config file has no sections: {path}")
     return config_from_mapping(raw)
-
-
-def provenance_mapping(bundle: Bundle) -> dict:
-    """JSON-safe resolved mapping, reloadable via config_from_mapping."""
-    return {section: dict(entries)
-            for section, entries in bundle.mapping.items()}
 
 
 def scenario_with(scenario: ScenarioConfig, **updates) -> ScenarioConfig:

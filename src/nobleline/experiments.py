@@ -10,7 +10,8 @@ real columns. ``write`` emits three files per scenario::
 
     <prefix>_points.csv        the table, one repr() per cell
     <prefix>_fit.json          fit reports and derived summary numbers
-    <prefix>_provenance.json   resolved config + seed, reloadable as a run
+    <prefix>_provenance.json   package, version, params_hash, and the
+                               config the run resolved, which replays it
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import Bundle, provenance_mapping
+from . import __version__
+from .config import Bundle
 from .dynamics import (excite_and_readout, magnetic_pulse_transient,
                        transient_samples)
 from .model import (ConfigError, TWO_PI, ValidityError, ValidityWarning,
                     derive_larmor)
-from .signals import (MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid,
+from .signals import (MIN_DEMOD_PERIODS, MIN_SAMPLES_PER_CYCLE,
+                      fit_decaying_sinusoid,
                       fit_inverted_lorentzian, fit_linear, heterodyne_extract,
                       stokes_time_series)
 from .spectrum import (evaluate_spectrum, hybrid_linewidth, line_center,
@@ -52,15 +55,6 @@ MAX_RECORD_SAMPLES = 4_000_000
 #: widest core spacing of a scan, in half-widths: one point per full width
 #: of the line (the default scan's is 0.25)
 MAX_CORE_SPACING = 2.0
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("nobleline")
-    except Exception:
-        return "unknown"
 
 
 @dataclass
@@ -133,15 +127,20 @@ def _table(names, *columns) -> dict:
     return dict(zip(names, columns, strict=True))
 
 
-def _provenance(bundle: Bundle) -> dict:
-    return {
+def _result(bundle: Bundle, name: str, table: dict, fits: dict,
+            extras: dict) -> ScanResult:
+    """Runner `name`'s ScanResult. Its provenance config is the bundle's
+    typed sections with [scenario] as this run resolved it, under `name`,
+    so config_from_mapping(provenance["config"]) replays the run."""
+    scenario = replace(bundle.scenario, name=name)
+    provenance = {
         "package": "nobleline",
-        "version": _package_version(),
+        "version": __version__,
         "params_hash": bundle.system.params_hash(),
-        "seed": bundle.scenario.seed,
-        "scenario": asdict(bundle.scenario),
-        "config": provenance_mapping(bundle),
+        "config": {**bundle.mapping, "scenario": asdict(scenario)},
     }
+    return ScanResult(name=name, table=table, fits=fits, extras=extras,
+                      provenance=provenance)
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -149,15 +148,26 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _least_samples_per_cycle(highest: float, center: float) -> float:
-    """Smallest samples_per_cycle, to 6 significant digits, whose rate
-    samples_per_cycle * |center| passes the synthesis test at `highest`."""
-    bound = MIN_SAMPLES_PER_CYCLE * highest
-    step = 10.0 ** (math.floor(math.log10(bound / abs(center))) - 5)
-    knob = math.ceil(bound / abs(center) / step) * step
-    while not knob * abs(center) > bound:
+def _least_knob(estimate: float, passes) -> float:
+    """Smallest knob value, to 6 significant digits, from `estimate` (at
+    most the answer) up, for which passes(knob) holds."""
+    step = 10.0 ** (math.floor(math.log10(estimate)) - 5)
+    knob = math.ceil(estimate / step) * step
+    while not passes(knob):
         knob += step
     return knob
+
+
+def _least_demod_periods(lowest: float, center: float, fs: float) -> float:
+    """Smallest demod_periods, to 6 significant digits, whose record of
+    round(demod_periods / center * fs) samples at rate fs spans
+    MIN_DEMOD_PERIODS periods of the frequency `lowest` > 0."""
+    def spans(periods):
+        n = int(round(periods / center * fs))
+        return (n - 1) / fs * lowest >= MIN_DEMOD_PERIODS
+
+    least_n = math.ceil(MIN_DEMOD_PERIODS * fs / lowest) + 1
+    return _least_knob((least_n - 0.5) / fs * center, spans)
 
 
 def _check_record_sizes(scenario, sizes, knobs=("observe_efolds",
@@ -213,16 +223,31 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     rngs = _streams(sc.seed, len(omegas))
 
     if sc.method == "demodulated":
-        duration = sc.demod_periods / abs(line.center)
-        fs = sc.samples_per_cycle * abs(line.center)
+        center = abs(line.center)
+        duration = sc.demod_periods / center
+        fs = sc.samples_per_cycle * center
         highest = float(np.max(np.abs(omegas)))
-        if fs <= MIN_SAMPLES_PER_CYCLE * highest:
+        bound = MIN_SAMPLES_PER_CYCLE * highest
+        if fs <= bound:
+            least = _least_knob(bound / center, lambda k: k * center > bound)
             raise ConfigError(
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
-                f"{_least_samples_per_cycle(highest, line.center):.6g}")
-        _check_record_sizes(sc, [int(round(duration * fs))],
-                            ("demod_periods", "samples_per_cycle"))
+                f"{least:.6g}")
+        n = int(round(duration * fs))
+        _check_record_sizes(sc, [n], ("demod_periods", "samples_per_cycle"))
+        lowest = float(np.min(np.abs(omegas)))
+        # the span heterodyne_extract tests, in periods of the lowest frequency
+        window = (n - 1) / fs * lowest
+        if not window >= MIN_DEMOD_PERIODS:
+            hint = "no value does: the scan reaches zero frequency"
+            if lowest > 0:
+                least = _least_demod_periods(lowest, center, fs)
+                hint = f"use at least {least:.6g}"
+            raise ConfigError(
+                f"demod_periods = {sc.demod_periods:g} gives a demodulation "
+                f"window of {window:.3g} periods at the scan's lowest "
+                f"frequency {lowest:.6g}, below {MIN_DEMOD_PERIODS:g}; {hint}")
     responses = evaluate_spectrum(omegas, system, bundle.optics,
                                   s2_in=sc.signal_amplitude)
     table = _table(SPECTRUM_COLUMNS, omegas,
@@ -264,9 +289,8 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
         "phase_residual_rms": phase_rms,
         "method": sc.method,
     }
-    return ScanResult(name="spectrum", table=table,
-                      fits={"transmission_dip": dip.report()},
-                      extras=extras, provenance=_provenance(bundle))
+    return _result(bundle, "spectrum", table,
+                   {"transmission_dip": dip.report()}, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +348,8 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
         "fitted_half_width": dip.half_width,
         "fitted_center": dip.center,
     }
-    return ScanResult(name="excite", table=table,
-                      fits={"response_dip": dip.report()}, extras=extras,
-                      provenance=_provenance(bundle))
+    return _result(bundle, "excite", table,
+                   {"response_dip": dip.report()}, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +407,8 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         "min_full_width": min(widths),
         "max_full_width": max(widths),
     }
-    return ScanResult(name="sweep_field", table=table,
-                      fits={"frequency_vs_field": line.report()},
-                      extras=extras, provenance=_provenance(bundle))
+    return _result(bundle, "sweep_field", table,
+                   {"frequency_vs_field": line.report()}, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +437,8 @@ def run_transient(bundle: Bundle) -> ScanResult:
     }
     table = _table(TRAJECTORY_COLUMNS, traj.times, traj.f.real, traj.f.imag,
                    traj.r.real, traj.r.imag)
-    return ScanResult(name="transient", table=table,
-                      fits={"free_precession": fit.report()}, extras=extras,
-                      provenance=_provenance(bundle))
+    return _result(bundle, "transient", table,
+                   {"free_precession": fit.report()}, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +522,7 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         "mean_slope": float(np.mean(table["slope"])),
         "mean_decay": float(np.mean(table["decay"])),
     }
-    return ScanResult(name="calibrate", table=table, fits={}, extras=extras,
-                      provenance=_provenance(bundle))
+    return _result(bundle, "calibrate", table, {}, extras)
 
 
 _RUNNERS = {

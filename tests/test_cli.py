@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import nobleline
 from nobleline.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_VALIDITY,
                            main)
-from nobleline.config import preset_path
+from nobleline.config import config_from_mapping, preset_path
+from nobleline.experiments import run_scenario
 from nobleline.model import FitConvergenceError
 
 FAST_SYSTEM = {
@@ -137,8 +138,39 @@ def test_seed_override_lands_in_provenance(tmp_path, capsys):
                  "--seed", "123", "--quiet"]) == EXIT_OK
     with open(tmp_path / "transient_provenance.json") as fh:
         prov = json.load(fh)
-    assert prov["seed"] == 123
-    assert prov["scenario"]["seed"] == 123
+    assert prov["config"]["scenario"]["seed"] == 123
+
+
+# [scenario] knobs of a small run of each command, with noise so the seed
+# shows
+SMALL_RUN = {"points": "11", "span_halfwidths": "5", "noise_sigma": "0.01",
+             "fields": "4.0 5.0 6.1", "observe_efolds": "0.3",
+             "samples_per_cycle": "8", "trials": "2"}
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum", "excite", "sweep-field", "transient", "calibrate"])
+def test_provenance_replays_the_run_byte_for_byte(tmp_path, capsys, command):
+    # the INI names another scenario and seed than the run: the provenance
+    # must hold the scenario the command and --seed resolved, once
+    name = command.replace("-", "_")
+    sections = preset_sections()
+    sections["scenario"].update(
+        SMALL_RUN, name="calibrate" if name == "spectrum" else "spectrum")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out), "--seed", "7", "--quiet"]) == EXIT_OK
+    prov = json.loads((out / f"{name}_provenance.json").read_text())
+    assert sorted(prov) == ["config", "package", "params_hash", "version"]
+    assert prov["version"] == nobleline.__version__
+    assert (prov["config"]["scenario"]["name"],
+            prov["config"]["scenario"]["seed"]) == (name, 7)
+
+    replay = tmp_path / "replay"
+    run_scenario(config_from_mapping(prov["config"])).write(replay, name)
+    for suffix in ("points.csv", "fit.json", "provenance.json"):
+        assert (replay / f"{name}_{suffix}").read_bytes() \
+            == (out / f"{name}_{suffix}").read_bytes(), suffix
 
 
 def test_negative_seed_override_exits_config(tmp_path, capsys):
@@ -307,6 +339,8 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     ("transient", "samples_per_cycle", "0"),
     ("spectrum", "demod_periods", "0"),
     ("transient", "seed", "-1"),
+    # used to reach the user as numpy's _ArrayMemoryError
+    ("excite", "points", "1000000000000000"),
 ])
 def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
                                         value):
@@ -406,6 +440,48 @@ def test_undersampled_spectrum_names_a_sampling_that_works(tmp_path, capsys):
     assert main(["spectrum", "--config",
                  write_ini(tmp_path / "f.ini", sections), "--out",
                  str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("scenario", [
+    {"demod_periods": "2.5"}, {"baseline_halfwidths": "ZERO"},
+], ids=["short", "zero-frequency"])
+def test_short_demodulation_window_exits_config_before_any_work(
+        tmp_path, capsys, monkeypatch, scenario):
+    # used to exit 3 from heterodyne_extract, after the whole scan was
+    # evaluated and its first record synthesized; a baseline point at zero
+    # frequency has no window that works
+    import nobleline.experiments as experiments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scan ran before its window was checked")
+
+    if scenario.get("baseline_halfwidths") == "ZERO":
+        bundle = nobleline.load_config(preset_path())
+        line = nobleline.line_shape(bundle.system, bundle.optics)
+        scenario = {"baseline_halfwidths": repr(line.center / line.half_width)}
+    sections = preset_sections()
+    sections["scenario"].update(method="demodulated", **scenario)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        for name in ("evaluate_spectrum", "stokes_time_series"):
+            patch.setattr(experiments, name, unreachable)
+        code = main(["spectrum", "--config",
+                     write_ini(tmp_path / "f.ini", sections), "--out",
+                     str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert "demod_periods" in err
+    assert not any(out.iterdir())
+    if "baseline_halfwidths" in scenario:
+        assert "zero frequency" in err
+        return
+    sections["scenario"]["demod_periods"] = \
+        err.rsplit("use at least ", 1)[1].strip()
+    assert main(["spectrum", "--config",
+                 write_ini(tmp_path / "f.ini", sections), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command, overrides, knobs", [

@@ -1,15 +1,14 @@
-"""Config parsing, the packaged preset, and provenance round-trips."""
+"""Config parsing, the packaged preset, and the load-time guards."""
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nobleline.config import (_SCHEMAS, Bundle, ScenarioConfig,
-                              config_from_mapping, load_config, preset_path,
-                              provenance_mapping, scenario_with)
+from nobleline.config import (_SCHEMAS, MAX_SCAN_ROWS, Bundle,
+                              ScenarioConfig, config_from_mapping,
+                              load_config, preset_path, scenario_with)
 from nobleline.model import ConfigError, ValidityError
 
 # a system that loads, for mappings to perturb
@@ -22,6 +21,12 @@ _VALUES = st.one_of(
     st.sampled_from(["nan", "-inf", "inf", "1e400", "", "a", "5 6 7", "1,2"]),
     st.lists(st.one_of(_NUMBERS, _NUMBERS.map(str), st.just("a")),
              max_size=5))
+
+
+def preset_mapping() -> dict:
+    """The preset's typed sections, as fresh dicts to edit."""
+    return {section: dict(entries)
+            for section, entries in load_config(preset_path()).mapping.items()}
 
 
 def test_preset_loads_reference_system():
@@ -70,7 +75,7 @@ def test_missing_required_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="beam_area"):
         load_config(p)
     # in every section, the error names the key left out
-    preset = provenance_mapping(load_config(preset_path()))
+    preset = preset_mapping()
     for section, key in (("gas_cell", "cell_diameter"),
                          ("optics", "optical_depth"),
                          ("magnetics", "alkali_gyromagnetic"),
@@ -116,7 +121,7 @@ def test_wavelength_and_photon_energy_exclusive():
 
 
 def test_optics_couplings_are_all_given_or_all_derived():
-    raw = provenance_mapping(load_config(preset_path()))
+    raw = preset_mapping()
     derived = config_from_mapping(raw).optics
     given = {"tilt_coeff": 1.0, "faraday_coeff": 2.0, "scattering_rate": 3.0}
     ok = config_from_mapping({**raw, "optics": {**raw["optics"], **given}})
@@ -134,7 +139,7 @@ def test_optics_couplings_are_all_given_or_all_derived():
 
 def test_values_that_overflow_the_derivation_rejected():
     # finite inputs whose derived values leave the float range
-    raw = provenance_mapping(load_config(preset_path()))
+    raw = preset_mapping()
     raw["optics"]["wavelength"] = 5e-324
     with pytest.raises(ConfigError, match=r"^\[optics\] "):
         config_from_mapping(raw)
@@ -142,16 +147,6 @@ def test_values_that_overflow_the_derivation_rejected():
                       "exchange_ab": "1", "exchange_ba": "1"}}
     with pytest.raises(ConfigError, match=r"^\[system\] "):
         config_from_mapping(raw)
-
-
-def test_provenance_round_trip():
-    bundle = load_config(preset_path())
-    mapping = provenance_mapping(bundle)
-    # must be JSON-serializable as-is
-    text = json.dumps(mapping, sort_keys=True)
-    rebuilt = config_from_mapping(json.loads(text))
-    assert rebuilt.system == bundle.system
-    assert rebuilt.scenario == bundle.scenario
 
 
 def test_scenario_defaults_and_validation():
@@ -167,6 +162,20 @@ def test_scenario_defaults_and_validation():
         ScenarioConfig(noise_sigma=-0.5)
     with pytest.raises(ConfigError):
         ScenarioConfig(trials=0)
+
+
+@pytest.mark.parametrize("knob", ["points", "trials"])
+def test_points_and_trials_are_capped_at_load(knob):
+    # 10**15 points used to reach the CLI as numpy's _ArrayMemoryError
+    assert getattr(ScenarioConfig(**{knob: MAX_SCAN_ROWS}), knob) \
+        == MAX_SCAN_ROWS
+    for value in (MAX_SCAN_ROWS + 1, 10**15):
+        with pytest.raises(ConfigError, match=knob):
+            ScenarioConfig(**{knob: value})
+        raw = preset_mapping()
+        raw["scenario"][knob] = str(value)
+        with pytest.raises(ConfigError, match=knob):
+            config_from_mapping(raw)
 
 
 def test_scenario_with_replaces_fields():
@@ -192,7 +201,7 @@ def test_any_mapping_loads_or_raises_config_error(data):
     # edits on an empty, a system-only or the preset mapping, so that both
     # the rejections and the loads are reached
     base = data.draw(st.sampled_from(
-        [{}, LOADABLE, provenance_mapping(load_config(preset_path()))]))
+        [{}, LOADABLE, preset_mapping()]))
     raw = {name: dict(entries) for name, entries in base.items()}
     for section in data.draw(st.lists(
             st.sampled_from([*_SCHEMAS, "mystery"]), max_size=3)):

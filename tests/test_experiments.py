@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,32 @@ def test_run_scenario_dispatch(preset_bundle):
     assert res.name == "transient"
 
 
+def test_runner_records_the_scenario_it_ran(preset_bundle):
+    # the preset's scenario is named spectrum; the provenance must name the
+    # protocol that produced the result, so that it replays that run
+    res = run_transient(with_scenario(preset_bundle, observe_efolds=1.5))
+    scenario = res.provenance["config"]["scenario"]
+    assert res.name == scenario["name"] == "transient"
+    assert scenario["observe_efolds"] == 1.5
+
+
+def test_version_is_declared_once(preset_bundle):
+    # pyproject.toml reads the version from the package, which provenance
+    # records; none is written in the file itself
+    tomllib = pytest.importorskip("tomllib")
+    import nobleline
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" in pyproject["project"]["dynamic"]
+    assert "version" not in pyproject["project"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "nobleline.__version__"}
+    assert run_transient(with_scenario(
+        preset_bundle, observe_efolds=0.3, samples_per_cycle=8.0)
+    ).provenance["version"] == nobleline.__version__
+
+
 def test_scan_result_write_and_provenance_round_trip(preset_bundle, tmp_path):
     from nobleline.config import config_from_mapping
 
@@ -176,7 +203,7 @@ def test_scan_result_write_and_provenance_round_trip(preset_bundle, tmp_path):
     with open(tmp_path / "demo_provenance.json") as fh:
         prov = json.load(fh)
     assert prov["package"] == "nobleline"
-    assert prov["seed"] == preset_bundle.scenario.seed
+    assert prov["config"]["scenario"]["seed"] == preset_bundle.scenario.seed
     assert prov["params_hash"] == preset_bundle.system.params_hash()
     rebuilt = config_from_mapping(prov["config"])
     assert rebuilt.system == preset_bundle.system
