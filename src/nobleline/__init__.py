@@ -23,9 +23,9 @@ from .dynamics import (Segment, SidebandResponse, SpinTrajectory,
 from .experiments import ScanResult, run_scenario
 from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     MagneticConfig, NoblelineError, OpticalParams,
-                    SystemParams, TWO_PI, ValidityError, ValidityWarning,
-                    build_system, compute_detunings, derive_exchange_rates,
-                    derive_larmor, derive_optics, ideal_gas_density)
+                    SystemParams, TWO_PI, ValidityError, build_system,
+                    compute_detunings, derive_exchange_rates, derive_larmor,
+                    derive_optics, ideal_gas_density)
 from .signals import (LineFit, LinearFit, SinusoidFit, fit_decaying_sinusoid,
                       fit_inverted_lorentzian, fit_linear, heterodyne_extract,
                       stokes_time_series, synthesize_channel, time_grid)

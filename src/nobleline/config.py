@@ -43,6 +43,11 @@ SCENARIO_NAMES = ("spectrum", "excite", "sweep_field", "transient",
 #: 1.2 GB budget of experiments.MAX_RECORD_SAMPLES
 MAX_SCAN_ROWS = 500_000
 
+#: farthest baseline point, in half-widths: the line's tail there is
+#: C*1e-12 below the flat level it pins, and the dip fit still recovers the
+#: preset line to 1e-13 with its baseline at 1e11 (it fails at 1e12)
+MAX_BASELINE_HALFWIDTHS = 1e6
+
 
 def _parse_float(text):
     try:
@@ -118,6 +123,10 @@ class ScenarioConfig:
         if not 0 <= self.ramp_efolds < 0.5 * self.pulse_efolds:
             raise ConfigError("ramp_efolds must be non-negative and below "
                               "half of pulse_efolds")
+        if not all(abs(h) <= MAX_BASELINE_HALFWIDTHS
+                   for h in self.baseline_halfwidths):
+            raise ConfigError("baseline_halfwidths must lie within "
+                              f"+-{MAX_BASELINE_HALFWIDTHS:g}")
         if not self.dead_efolds >= 0:
             raise ConfigError("dead_efolds must be non-negative")
         for knob in ("signal_amplitude", "tilt_amplitude"):

@@ -27,12 +27,11 @@ checks the engine, driven by the same Segment list, lives with the tests
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, SystemParams, ValidityError, ValidityWarning
+from .model import TWO_PI, SystemParams, ValidityError
 from .signals import MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid
 from .spectrum import hybrid_linewidth, line_center
 
@@ -124,7 +123,35 @@ def slow_mode(system: SystemParams) -> tuple[float, float]:
     """
     eigvals = np.linalg.eigvals(_system_matrix(system))
     lam = eigvals[np.argmin(np.abs(eigvals.real))]
-    return -lam.real / TWO_PI, -lam.imag / TWO_PI
+    return float(-lam.real / TWO_PI), float(-lam.imag / TWO_PI)
+
+
+#: largest relative gap between the closed-form half-width and the exact
+#: slow-mode decay that a run accepts: 1 % keeps half of acceptance 6's 2 %
+MAX_WIDTH_GAP = 0.01
+
+
+def width_gap(system: SystemParams) -> float:
+    """|gamma - gamma_slow| / gamma_slow of the closed-form half-width at
+    line_center and the exact slow-mode decay, which must be positive: at
+    most about (J/|omega_a - omega_b|)^2, of order one where gamma_b >
+    gamma_a."""
+    gamma_slow, _ = slow_mode(system)
+    gamma = hybrid_linewidth(system, line_center(system) - system.omega_a)
+    return abs(gamma - gamma_slow) / gamma_slow
+
+
+def check_width_gap(system: SystemParams) -> None:
+    """ValidityError where width_gap exceeds MAX_WIDTH_GAP."""
+    gap = width_gap(system)
+    if gap > MAX_WIDTH_GAP:
+        raise ValidityError(
+            "hybridization not perturbative: the closed-form half-width is "
+            f"{gap:.2%} off the exact slow-mode decay (bound "
+            f"{MAX_WIDTH_GAP:.0%}) at |omega_a - omega_b| = "
+            f"{abs(system.omega_a - system.omega_b):.4g} Hz, J = "
+            f"{system.exchange:.4g} Hz, gamma_a = {system.gamma_a:.4g} Hz "
+            f"and gamma_b = {system.gamma_b:.4g} Hz")
 
 
 @dataclass(frozen=True)
@@ -329,19 +356,20 @@ def _transient_grid(system: SystemParams, observe_efolds: float,
     gamma_slow, freq_slow = slow_mode(system)
     if gamma_slow <= 0:
         raise ValidityError("undamped slow mode: transient never decays")
+    check_width_gap(system)
     duration = observe_efolds / (TWO_PI * gamma_slow)
     sample_rate = samples_per_cycle * max(abs(freq_slow), gamma_slow)
     return gamma_slow, freq_slow, duration, sample_rate
 
 
 def transient_samples(system: SystemParams, observe_efolds: float,
-                      samples_per_cycle: float) -> int:
+                      samples_per_cycle: float) -> float:
     """Upper bound on the samples magnetic_pulse_transient would evolve,
     computed without evolving: the start, floor(duration * rate) grid
-    points and the end point."""
+    points and the end point. A float, inf where the product overflows."""
     _, _, duration, sample_rate = _transient_grid(system, observe_efolds,
                                                   samples_per_cycle)
-    return int(math.floor(duration * sample_rate)) + 2
+    return float(np.floor(duration * sample_rate)) + 2.0
 
 
 def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
@@ -368,9 +396,7 @@ def magnetic_pulse_transient(system: SystemParams, tilt_amplitude: float = 1.0,
                         tilt_state(tilt_amplitude), sample_rate=sample_rate)
     if noise_sigma:
         traj.r.real += rng.normal(0.0, noise_sigma, size=traj.r.shape)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        fit = fit_decaying_sinusoid(traj.times, traj.r.real)
+    fit = fit_decaying_sinusoid(traj.times, traj.r.real)
     formula = hybrid_linewidth(system, line_center(system) - system.omega_a)
     return TransientResult(trajectory=traj, fit=fit,
                            predicted_decay=gamma_slow,

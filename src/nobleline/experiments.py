@@ -20,17 +20,15 @@ import contextlib
 import json
 import math
 import os
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .config import Bundle
-from .dynamics import (excite_and_readout, magnetic_pulse_transient,
-                       transient_samples)
-from .model import (ConfigError, TWO_PI, ValidityError, ValidityWarning,
-                    derive_larmor)
+from .dynamics import (check_width_gap, excite_and_readout,
+                       magnetic_pulse_transient, transient_samples)
+from .model import ConfigError, TWO_PI, ValidityError, derive_larmor
 from .signals import (MIN_DEMOD_PERIODS, MIN_SAMPLES_PER_CYCLE,
                       fit_decaying_sinusoid,
                       fit_inverted_lorentzian, fit_linear, heterodyne_extract,
@@ -173,11 +171,12 @@ def _least_demod_periods(lowest: float, center: float, fs: float) -> float:
 def _check_record_sizes(scenario, sizes, knobs=("observe_efolds",
                                                 "samples_per_cycle")) -> None:
     """Refuse, before building any, records above MAX_RECORD_SAMPLES; the
-    knobs are the scenario keys that set their sizes."""
+    sizes are floats, compared before any int() (inf where a knob makes
+    them overflow), and the knobs are the scenario keys that set them."""
     n = max(sizes)
     if n > MAX_RECORD_SAMPLES:
         lower = " or ".join(f"{k} ({getattr(scenario, k):g})" for k in knobs)
-        raise ConfigError(f"a record of {n} samples exceeds the cap of "
+        raise ConfigError(f"a record of {n:.4g} samples exceeds the cap of "
                           f"{MAX_RECORD_SAMPLES}; lower {lower}")
 
 
@@ -218,6 +217,7 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     sc = bundle.scenario
     system = bundle.system
     line = line_shape(system, bundle.optics)
+    check_width_gap(system)
     deltas = _detuning_grid(sc, line.half_width)
     omegas = line.center + deltas
     rngs = _streams(sc.seed, len(omegas))
@@ -234,8 +234,9 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{least:.6g}")
-        n = int(round(duration * fs))
+        n = float(np.round(duration * fs))
         _check_record_sizes(sc, [n], ("demod_periods", "samples_per_cycle"))
+        n = int(n)
         lowest = float(np.min(np.abs(omegas)))
         # the span heterodyne_extract tests, in periods of the lowest frequency
         window = (n - 1) / fs * lowest
@@ -314,6 +315,7 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
         raise ValidityError("undamped line: zero width with gamma_b = 0 and "
                             "gamma_a = 0 or no exchange; excitation never "
                             "saturates")
+    check_width_gap(system)
     omegas = center + _detuning_grid(sc, gamma)
     rngs = _streams(sc.seed, len(omegas))
     ramp = sc.ramp_efolds / (TWO_PI * gamma)
@@ -326,6 +328,12 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
             f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into the "
             f"shortest pulse of the scan; keep it at or below "
             f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
+    # the wait decays every readout by about exp(-waited)
+    waited = sc.dead_efolds * gamma / system.gamma_a if system.gamma_a else 0.0
+    if math.exp(-waited) == 0.0:
+        raise ConfigError(f"dead_efolds = {sc.dead_efolds:g} waits "
+                          f"{waited:.3g} e-folds of the line, which decays "
+                          "every readout to zero")
 
     amps = []
     for omega, rng in zip(omegas.tolist(), rngs):
@@ -471,9 +479,9 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         raise ConfigError("calibrate needs gamma_a > 0: its records span two "
                           "alkali decay e-folds")
     duration = 2.0 / (TWO_PI * true_gamma)
-    omegas = [true_g * (b - bundle.magnetics.noble_emf) for b in cal_fields]
+    omegas = [derive_larmor(bundle.magnetics, field=b)[0] for b in cal_fields]
     rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
-    _check_record_sizes(sc, [int(duration * fs) for fs in rates],
+    _check_record_sizes(sc, [float(np.floor(duration * fs)) for fs in rates],
                         ("samples_per_cycle",))
     rngs = _streams(sc.seed, sc.trials)
     # each field's grid and noiseless record serve every trial
@@ -490,9 +498,7 @@ def run_calibration(bundle: Bundle) -> ScanResult:
         for t, record in clean_records:
             if rng is not None:
                 record = record + rng.normal(0.0, noise, size=t.shape)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                fit = fit_decaying_sinusoid(t, record)
+            fit = fit_decaying_sinusoid(t, record)
             freq_hat.append(fit.frequency)
             gam_hat.append(fit.decay_rate)
             half = 0.5 * (fit.decay_rate_ci[1] - fit.decay_rate_ci[0])

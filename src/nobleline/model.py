@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 
 TWO_PI = 2.0 * math.pi
@@ -42,12 +41,6 @@ ELECTRON_RADIUS = 2.8179403205e-15 * 1e2
 #: calibration point in the magnetics config overrides it)
 HE3_GYROMAGNETIC = 3.243
 
-#: the hybridization is perturbative while |omega_a - omega_b| stays at least
-#: this many gamma_a apart; at the line delta_a is about omega_b - omega_a,
-#: so the same ratio selects the spectrum's far-detuned closed form
-FAR_DETUNED_RATIO = 10.0
-
-
 class NoblelineError(Exception):
     """Base class for package errors."""
 
@@ -66,10 +59,6 @@ class FitConvergenceError(NoblelineError):
     def __init__(self, message, last_params=None):
         super().__init__(message)
         self.last_params = last_params
-
-
-class ValidityWarning(UserWarning):
-    """Parameters approach the edge of a model approximation."""
 
 
 def _require_positive(name, value):
@@ -254,26 +243,17 @@ class Detunings:
     delta_hybrid: float
 
 
-def derive_larmor(magnetics: MagneticConfig, field: float | None = None,
-                  gamma_a: float | None = None) -> tuple[float, float]:
+def derive_larmor(magnetics: MagneticConfig,
+                  field: float | None = None) -> tuple[float, float]:
     """Larmor frequencies (omega_a, omega_b) at a bias field.
 
     omega_a = g_a * (B - B0_b) and omega_b = g_b * (B - B0_a); each species
     precesses in the bias field plus the effective field of the other,
-    polarized species. Signs are preserved. When `gamma_a` is given, emits a
-    ValidityWarning if the two frequencies approach within
-    FAR_DETUNED_RATIO*gamma_a, where the perturbative hybridization picture
-    degrades.
+    polarized species. Signs are preserved.
     """
     b = magnetics.field if field is None else field
     omega_a = magnetics.alkali_gyromagnetic * (b - magnetics.noble_emf)
     omega_b = magnetics.noble_gyromagnetic * (b - magnetics.alkali_emf)
-    if gamma_a is not None \
-            and abs(omega_a - omega_b) < FAR_DETUNED_RATIO * gamma_a:
-        warnings.warn(
-            f"|omega_a - omega_b| = {abs(omega_a - omega_b):.3g} Hz is within "
-            f"{FAR_DETUNED_RATIO:g}*gamma_a = {FAR_DETUNED_RATIO * gamma_a:.3g}"
-            " Hz; hybridization formulas degrade", ValidityWarning, stacklevel=2)
     return omega_a, omega_b
 
 
@@ -368,8 +348,7 @@ def build_system(magnetics: MagneticConfig | None = None,
     values["gamma_b"] = gamma_b
 
     if magnetics is not None:
-        values["omega_a"], values["omega_b"] = derive_larmor(
-            magnetics, gamma_a=gamma_a)
+        values["omega_a"], values["omega_b"] = derive_larmor(magnetics)
     if cell is not None:
         values["exchange_ab"], values["exchange_ba"] = derive_exchange_rates(cell)
         values["alkali_polarization"] = cell.alkali_polarization

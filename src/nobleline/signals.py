@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import TWO_PI, FitConvergenceError, ValidityError, ValidityWarning
+from .model import TWO_PI, FitConvergenceError, ValidityError
 
 CONFIDENCE = 0.95
 
@@ -508,8 +507,8 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     refinement. Each parameter vector costs one pass of exp, cos and sin,
     shared by the residual and the Jacobian, which is written column by
     column into one Fortran-ordered array. When the window is short
-    against the decay time (2*pi*g*T < 0.5) the decay is flagged ambiguous
-    and a ValidityWarning is emitted; the point estimate is still returned.
+    against the decay time (2*pi*g*T < 0.5) the decay is flagged ambiguous;
+    the point estimate is still returned.
     The intervals are white-noise regression intervals: on a noiseless
     transient record the fast alkali mode, left out of the one-mode model,
     biases the decay rate by up to 3.5 half-widths (8 mG, 32 per cycle).
@@ -528,10 +527,6 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     freqs = np.fft.rfftfreq(t.size, dt)
     k = int(np.argmax(spec[1:])) + 1
     f0 = float(freqs[k])
-    if (t.size * dt) * f0 < 2.0:
-        warnings.warn("record spans fewer than 2 oscillation cycles; "
-                      "frequency weakly constrained", ValidityWarning,
-                      stacklevel=2)
     amp0 = float(np.max(np.abs(yc))) or 1.0
     # envelope ratio between first and last quarter fixes the decay scale
     q = max(t.size // 4, 4)
@@ -613,11 +608,6 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         se_amp, se_phi = math.inf, math.pi
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    ambiguous = bool(TWO_PI * g * span < 0.5)
-    if ambiguous:
-        warnings.warn(
-            f"window covers {TWO_PI * g * span:.3g} decay e-folds (< 0.5); "
-            "decay rate is weakly constrained", ValidityWarning, stacklevel=2)
     return SinusoidFit(
         amplitude=amp, decay_rate=g, frequency=f, phase=phase, offset=float(c),
         amplitude_ci=_ci(amp, se_amp, dof),
@@ -625,7 +615,7 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         frequency_ci=_ci(f, float(se[3]), dof),
         phase_ci=_ci(phase, se_phi, dof),
         residual_rms=float(np.sqrt(np.mean(r**2))), n_points=t.size,
-        ambiguous_decay=ambiguous, nfev=nfev, njev=njev)
+        ambiguous_decay=bool(TWO_PI * g * span < 0.5), nfev=nfev, njev=njev)
 
 
 @dataclass(frozen=True)
@@ -651,12 +641,17 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """OLS line y = slope*x + intercept with a delta-method x-intercept CI.
 
     The crossing is flagged undefined when the slope's confidence interval
-    contains zero.
+    contains zero or the slope squares to zero. Nonzero x values whose squares underflow (|x| < 1.5e-154)
+    are refused: the normal matrix X^T X would lose them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValidityError("need >= 3 points for a linear fit")
+    small = np.abs(x[x != 0.0])
+    if small.size and small.min() < math.sqrt(np.finfo(float).tiny):
+        raise ValidityError(f"x value {small.min():g} is too small to square "
+                            "in a linear fit")
     design = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     s, i = (float(v) for v in coef)
@@ -665,8 +660,9 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
     cov = sigma2 * unscaled
     se_s, se_i = math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
     slope_ci = _ci(s, se_s, dof)
-    defined = not (slope_ci[0] <= 0.0 <= slope_ci[1]) and s != 0.0
-    if s != 0.0:
+    # a slope below ~1.5e-162 squares to zero: no crossing to bound
+    defined = not (slope_ci[0] <= 0.0 <= slope_ci[1]) and s**2 != 0.0
+    if s**2 != 0.0:
         x_int = -i / s
         se_x = _delta_se(np.array([i / s**2, -1.0 / s]), cov)
     else:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# |delta_a| >= FAR_DETUNED_RATIO * gamma_a selects the factored closed form
-# of the transmitted amplitude; below it the general coherence form is used.
-from .model import (FAR_DETUNED_RATIO, Detunings, OpticalParams, SystemParams,
-                    ValidityError, compute_detunings, exchange_denominator)
+from .model import (Detunings, OpticalParams, SystemParams, ValidityError,
+                    compute_detunings, exchange_denominator)
+
+#: |delta_a| >= FAR_DETUNED_RATIO * gamma_a selects the factored closed form
+#: of the transmitted amplitude; below it the general coherence form is used
+FAR_DETUNED_RATIO = 10.0
 
 #: line_center's relative convergence tolerance and iteration budget
 LINE_CENTER_TOL = 1e-14
@@ -92,7 +94,8 @@ def line_center(system: SystemParams) -> float:
         da = omega - system.omega_a
         _, den = exchange_denominator(system, da)
         new = system.omega_b + j2 * da / den
-        if abs(new - omega) <= LINE_CENTER_TOL * scale:
+        # a pull larger than |omega_b| sets the last bit of the center
+        if abs(new - omega) <= LINE_CENTER_TOL * max(scale, abs(new)):
             return new
         omega = new
     raise ValidityError("line-center iteration did not converge; "

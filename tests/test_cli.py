@@ -497,6 +497,27 @@ def test_short_demodulation_window_exits_config_before_any_work(
     pytest.param("spectrum", {"method": "demodulated",
                               "demod_periods": "2e5"},
                  ("demod_periods", "samples_per_cycle"), id="spectrum"),
+    # sizes that overflow to inf used to end in int()'s OverflowError
+    pytest.param("transient", {"samples_per_cycle": "1e308"},
+                 ("observe_efolds", "samples_per_cycle"),
+                 id="transient-samples_per_cycle-1e308"),
+    pytest.param("transient", {"observe_efolds": "1e308"},
+                 ("observe_efolds", "samples_per_cycle"),
+                 id="transient-observe_efolds-1e308"),
+    pytest.param("sweep-field", {"samples_per_cycle": "1e308"},
+                 ("observe_efolds", "samples_per_cycle"),
+                 id="sweep-field-samples_per_cycle-1e308"),
+    pytest.param("calibrate", {"samples_per_cycle": "1e308"},
+                 ("samples_per_cycle",),
+                 id="calibrate-samples_per_cycle-1e308"),
+    pytest.param("spectrum", {"method": "demodulated",
+                              "samples_per_cycle": "1e308"},
+                 ("demod_periods", "samples_per_cycle"),
+                 id="spectrum-samples_per_cycle-1e308"),
+    pytest.param("spectrum", {"method": "demodulated",
+                              "demod_periods": "1e308"},
+                 ("demod_periods", "samples_per_cycle"),
+                 id="spectrum-demod_periods-1e308"),
 ])
 def test_oversized_record_exits_config_before_evolving(
         tmp_path, capsys, monkeypatch, command, overrides, knobs):
@@ -519,6 +540,89 @@ def test_oversized_record_exits_config_before_evolving(
     assert err.startswith("nobleline: error: config:")
     assert err.count("\n") == 1
     assert all(knob in err for knob in knobs), err
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("transient", {"magnetics": {"field": "2.3837837837837834"}}),
+    ("transient", {"system": {"gamma_b": "100"}}),
+    ("sweep-field", {"scenario": {"fields": "4 2.3837837837837834 5"}}),
+], ids=["transient-noble_emf", "transient-gamma_b-100",
+        "sweep-field-noble_emf"])
+def test_hybridization_breakdown_exits_validity_before_evolving(
+        tmp_path, capsys, monkeypatch, command, sections):
+    # at field = noble_emf the closed-form width is 7.4 % below the exact
+    # slow decay; with gamma_b > gamma_a the slow mode is the alkali one.
+    # Each used to exit 0; the sweep is refused before any field evolves
+    import nobleline.dynamics as dynamics
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a record was evolved before the width check")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", unreachable)
+    config = preset_sections()
+    for name, entries in sections.items():
+        config[name].update(entries)
+    out = tmp_path / "out"
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", config),
+                 "--out", str(out)])
+    assert code == EXIT_VALIDITY
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: validity: hybridization not "
+                          "perturbative")
+    assert err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+CLI_COMMANDS = ["spectrum", "excite", "sweep-field", "transient",
+                "calibrate", "check-config", "derive-params"]
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_near_degenerate_field_runs_without_any_warning(tmp_path, capsys,
+                                                        command):
+    # at 2.0 mG |omega_a - omega_b| is under 10 gamma_a, where a Python
+    # warning used to print at every load, but the width gap is 0.31 %
+    sections = preset_sections()
+    sections["magnetics"]["field"] = "2.0"
+    sections["scenario"].update(points="11", trials="2", fields="2.0 4 5")
+    argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]
+    if command not in ("check-config", "derive-params"):
+        argv += ["--out", str(tmp_path / "out"), "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, scenario, code, named", [
+    ("excite", {"dead_efolds": "1e308"}, EXIT_CONFIG, "dead_efolds"),
+    ("spectrum", {"baseline_halfwidths": "1e308"}, EXIT_CONFIG,
+     "baseline_halfwidths"),
+    ("sweep-field", {"fields": "1e-300 2e-300 3e-300"}, EXIT_VALIDITY,
+     "too small to square"),
+    ("excite", {"dead_efolds": "1e7"}, EXIT_CONFIG, "dead_efolds"),
+    ("spectrum", {"baseline_halfwidths": "1e12"}, EXIT_CONFIG,
+     "baseline_halfwidths"),
+], ids=["excite-dead_efolds-1e308", "spectrum-baseline_halfwidths-1e308",
+        "sweep-field-fields-1e-300", "excite-dead_efolds-1e7",
+        "spectrum-baseline_halfwidths-1e12"])
+def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
+                                                    scenario, code, named):
+    # the first three used to end in a traceback: a phase that overflowed to
+    # NaN, an overflowing delta_a**2, and a slope whose square underflowed to
+    # zero. The last two exited 0: every readout was zero, and the dip fit
+    # put the 4.5 mHz line at 19.79 Hz 2.2 kHz wide at 5.7 kHz
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    kind = "config" if code == EXIT_CONFIG else "validity"
+    assert err.startswith(f"nobleline: error: {kind}:")
+    assert err.count("\n") == 1
+    assert named in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, scenario", [
@@ -596,10 +700,6 @@ def _small_scenario(draw):
     return {key: str(value) for key, value in scenario.items()}
 
 
-CLI_COMMANDS = ["spectrum", "excite", "sweep-field", "transient",
-                "calibrate", "check-config", "derive-params"]
-
-
 @pytest.mark.parametrize("command", CLI_COMMANDS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -616,8 +716,7 @@ def test_small_configs_never_raise_and_fail_on_one_line(command, data):
             argv += ["--out", str(Path(tmp) / "out"), "--quiet"]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+                contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_VALIDITY)
     assert err.getvalue().count("nobleline: error:") <= 1

@@ -194,7 +194,6 @@ def test_bundle_compare_excludes_mapping():
     assert a == b
 
 
-@pytest.mark.filterwarnings("ignore::nobleline.model.ValidityWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_mapping_loads_or_raises_config_error(data):

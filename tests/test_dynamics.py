@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bloch_oracle import integrate_bloch, segment_drive
-from nobleline.dynamics import (Segment, SidebandResponse, _expand_ramps,
-                                _Modes, evolve_exact, exact_linear_response,
-                                excite_and_readout, magnetic_pulse_transient,
-                                slow_mode, tilt_state)
+from nobleline.dynamics import (MAX_WIDTH_GAP, Segment, SidebandResponse,
+                                _expand_ramps, _Modes, evolve_exact,
+                                exact_linear_response, excite_and_readout,
+                                magnetic_pulse_transient, slow_mode,
+                                tilt_state, width_gap)
 from nobleline.model import TWO_PI, SystemParams, ValidityError, derive_larmor
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import (alkali_coherence, hybrid_linewidth,
@@ -377,6 +378,46 @@ def test_noiseless_transient_fit_recovers_slow_mode(
     for value, ci, truth in ((fit.decay_rate, fit.decay_rate_ci, decay),
                              (fit.frequency, fit.frequency_ci, abs(freq))):
         assert abs(value - truth) <= 4.0 * 0.5 * (ci[1] - ci[0])
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(j=_log_uniform(1.0, 100.0), gamma_a=_log_uniform(3.0, 320.0),
+       gamma_b=_log_uniform(1e-4, 1.0), split=_log_uniform(32.0, 5000.0),
+       omega_b=st.floats(-100.0, 100.0), sign=st.sampled_from([-1.0, 1.0]),
+       ratio=_log_uniform(0.1, 10.0))
+# a pull larger than |omega_b|: line_center used to miss its tolerance
+@example(j=9.766599998272504, gamma_a=9.766599998272504, gamma_b=0.01,
+         split=10**1.9, omega_b=0.0, sign=-1.0, ratio=1.0)
+def test_width_gap_follows_the_hybridization_law(j, gamma_a, gamma_b, split,
+                                                 omega_b, sign, ratio):
+    # the closed-form width departs from the exact slow decay by at most
+    # (J/|omega_a - omega_b|)^2, whatever gamma_a; where the gap passes the
+    # bound, the closed-form center sits on the exact slow frequency as well
+    assume(split >= 5.0 * j)
+    sys = SystemParams(omega_a=omega_b + sign * split, omega_b=omega_b,
+                       gamma_a=gamma_a, gamma_b=gamma_b,
+                       exchange_ab=j * ratio, exchange_ba=j / ratio)
+    gap = width_gap(sys)
+    assert gap <= 1.001 * (sys.exchange / split) ** 2
+    if gap <= MAX_WIDTH_GAP:
+        center = line_center(sys)
+        half_width = hybrid_linewidth(sys, center - sys.omega_a)
+        assert abs(center - slow_mode(sys)[1]) <= 0.05 * half_width
+
+
+def test_width_gap_measures_the_breakdown(preset_magnetics, preset_system):
+    # at field = noble_emf the alkali precession stops 7.8 Hz from the noble
+    # one; a noble line wider than the alkali one makes the alkali mode slow
+    omega_a, omega_b = derive_larmor(preset_magnetics,
+                                     field=preset_magnetics.noble_emf)
+    degenerate = replace(preset_system, omega_a=omega_a, omega_b=omega_b)
+    assert width_gap(degenerate) == pytest.approx(0.0741, abs=1e-3)
+    assert width_gap(replace(preset_system, gamma_b=100.0)) > 0.9
+    assert width_gap(preset_system) < 1e-4
 
 
 @settings(max_examples=50, deadline=None)

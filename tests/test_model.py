@@ -8,9 +8,9 @@ import pytest
 from nobleline import model
 from nobleline.model import (ConfigError, Detunings, GasCell, MagneticConfig,
                              OpticalParams, SystemParams, ValidityError,
-                             ValidityWarning, build_system,
-                             compute_detunings, derive_exchange_rates,
-                             derive_larmor, derive_optics, ideal_gas_density)
+                             build_system, compute_detunings,
+                             derive_exchange_rates, derive_larmor,
+                             derive_optics, ideal_gas_density)
 
 REFERENCE_CELL = dict(
     alkali_density=8.5e13, noble_pressure=1500.0, temperature=460.0,
@@ -103,14 +103,6 @@ def test_larmor_reference_values():
     omega_a7, omega_b7 = derive_larmor(mag, field=10.7)
     assert omega_a7 == pytest.approx(4923.2, rel=1e-12)
     assert omega_b7 == pytest.approx(34.87147540983606, rel=1e-12)
-
-
-def test_larmor_warns_near_degeneracy():
-    mag = MagneticConfig(field=2.4, alkali_gyromagnetic=592.0,
-                         noble_gyromagnetic=3.259016393442623,
-                         noble_emf=2.3837837837837834)
-    with pytest.warns(ValidityWarning):
-        derive_larmor(mag, gamma_a=51.0)
 
 
 def test_optics_reference_values():

@@ -1,7 +1,6 @@
 """Waveform synthesis, heterodyne extraction, and the model fitters."""
 
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nobleline import signals
-from nobleline.model import (TWO_PI, FitConvergenceError, ValidityError,
-                             ValidityWarning)
+from nobleline.model import TWO_PI, FitConvergenceError, ValidityError
 from nobleline.signals import (_normal_inverse, fit_decaying_sinusoid,
                                fit_inverted_lorentzian, fit_linear,
                                heterodyne_extract,
@@ -136,18 +134,9 @@ def test_sinusoid_fit_short_window_warns():
     g, f = 0.001, 10.0
     t = np.arange(0.0, 30.0, 1.0 / (32 * f))  # 2*pi*g*T = 0.19 << 0.5
     y = np.exp(-TWO_PI * g * t) * np.cos(TWO_PI * f * t)
-    with pytest.warns(ValidityWarning):
-        fit = fit_decaying_sinusoid(t, y)
+    fit = fit_decaying_sinusoid(t, y)
     assert fit.ambiguous_decay
     assert fit.decay_rate == pytest.approx(g, rel=1e-3)
-
-
-def test_sinusoid_fit_few_cycles_warns():
-    g, f = 0.05, 0.02
-    t = np.arange(0.0, 60.0, 0.25)  # 1.2 cycles
-    y = np.exp(-TWO_PI * g * t) * np.cos(TWO_PI * f * t)
-    with pytest.warns(ValidityWarning):
-        fit_decaying_sinusoid(t, y)
 
 
 def test_sinusoid_fit_needs_samples():
@@ -201,9 +190,7 @@ def test_sinusoid_residual_and_jacobian_match_the_direct_forms(monkeypatch):
 
 def _fit_problem(fit, *args):
     """The (resid, x0, jac) that a fitter hands to its trust-region loop."""
-    with mock.patch.object(signals, "_trf", wraps=signals._trf) as spy, \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
+    with mock.patch.object(signals, "_trf", wraps=signals._trf) as spy:
         try:
             fit(*args)
         except FitConvergenceError:
@@ -500,6 +487,10 @@ def test_linear_fit_flat_slope_undefined():
     y = rng.normal(0, 1.0, x.size)  # no trend
     fit = fit_linear(x, y)
     assert not fit.x_intercept_defined
+    # a slope whose square underflows used to divide by zero
+    fit = fit_linear(np.array([1.0, 2.0, 3.0]), np.array([1e-170, 2e-170,
+                                                          3e-170]))
+    assert not fit.x_intercept_defined and math.isnan(fit.x_intercept)
 
 
 def test_linear_fit_needs_points():

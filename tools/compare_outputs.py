@@ -12,9 +12,12 @@ from its own packaged preset with a few [scenario] overrides:
   (rectified noisy amplitudes);
 - sweep-field and transient, each with and without noise_sigma = 0.05;
 - sweep-field on three fields with [optics] removed (a nan column);
+- transient at [magnetics] field = 2.0 mG, where |omega_a - omega_b| is
+  under 10 gamma_a but the closed-form width is within 0.31 % of the
+  exact slow-mode decay, so the run must still pass;
 - calibrate;
 
-each at seeds 1 and 20260819, three files per run: 66 files per side.
+each at seeds 1 and 20260819, three files per run: 72 files per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset, and of `derive-params` on the preset with [optics]
 removed (no line and no optics block). The tool prints one
@@ -51,6 +54,7 @@ CASES = {
     "sweep_field_no_optics": ("sweep-field", {"fields": "4.0 5.0 6.1"}),
     "transient": ("transient", {}),
     "transient_noisy": ("transient", {"noise_sigma": "0.05"}),
+    "transient_field_2mG": ("transient", {}),
     "calibrate": ("calibrate", {}),
 }
 
@@ -64,11 +68,14 @@ STDOUT_CASES = {"check-config": "check-config",
 DROPPED_SECTIONS = {"sweep_field_no_optics": ("optics",),
                     "derive-params_no_optics": ("optics",)}
 
+# case name -> overrides of preset sections other than [scenario]
+SECTION_OVERRIDES = {"transient_field_2mG": {"magnetics": {"field": "2.0"}}}
+
 
 def write_config(src: Path, overrides: dict, path: Path,
-                 dropped: tuple = ()) -> None:
-    """The side's packaged preset with [scenario] overrides and without the
-    `dropped` sections, as an INI."""
+                 dropped: tuple = (), sections: dict | None = None) -> None:
+    """The side's packaged preset with [scenario] overrides, the `sections`
+    overrides and without the `dropped` sections, as an INI."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
@@ -81,6 +88,9 @@ def write_config(src: Path, overrides: dict, path: Path,
         parser.add_section("scenario")
     for key, value in overrides.items():
         parser.set("scenario", key, value)
+    for section, entries in (sections or {}).items():
+        for key, value in entries.items():
+            parser.set(section, key, value)
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -92,7 +102,8 @@ def run_side(src: Path, work: Path, case: str, seed: int) -> tuple[Path, str]:
     out = work / f"{case}_seed{seed}"
     out.mkdir(parents=True)
     config = out.with_suffix(".ini")
-    write_config(src, overrides, config, DROPPED_SECTIONS.get(case, ()))
+    write_config(src, overrides, config, DROPPED_SECTIONS.get(case, ()),
+                 SECTION_OVERRIDES.get(case))
     done = run_cli(src, command, "--config", str(config), "--out", str(out),
                    "--seed", str(seed), "--quiet")
     return out, failure(done)
