@@ -4,7 +4,7 @@ The package models two coupled spin ensembles — an optically accessible
 alkali vapor and a noble gas with an hours-long coherence time — whose weak
 spin-exchange coupling lets light drive and read out the noble-gas
 resonance. It provides the closed-form steady-state response, exact
-time-domain evolution, the waveform/estimation layer, and five
+time-domain evolution, the lock-in/estimation layer, and five
 end-to-end measurement protocols behind a CLI.
 
 All rates and frequencies follow a single convention described in
@@ -27,8 +27,7 @@ from .model import (ConfigError, Detunings, FitConvergenceError, GasCell,
                     compute_detunings, derive_exchange_rates, derive_larmor,
                     derive_optics, ideal_gas_density)
 from .signals import (LineFit, LinearFit, SinusoidFit, fit_decaying_sinusoid,
-                      fit_inverted_lorentzian, fit_linear, heterodyne_extract,
-                      stokes_time_series, synthesize_channel, time_grid)
+                      fit_inverted_lorentzian, fit_linear, heterodyne_extract)
 from .spectrum import (LineShape, S2Response, alkali_coherence,
                        evaluate_spectrum, hybrid_linewidth, line_center,
                        line_shape, noble_coherence, phase_shift,

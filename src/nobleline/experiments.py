@@ -30,9 +30,8 @@ from .dynamics import (check_width_gap, excite_and_readout,
                        magnetic_pulse_transient, transient_samples)
 from .model import ConfigError, TWO_PI, ValidityError, derive_larmor
 from .signals import (MIN_DEMOD_PERIODS, MIN_SAMPLES_PER_CYCLE,
-                      fit_decaying_sinusoid,
-                      fit_inverted_lorentzian, fit_linear, heterodyne_extract,
-                      stokes_time_series)
+                      fit_decaying_sinusoid, fit_inverted_lorentzian,
+                      fit_linear, heterodyne_extract)
 from .spectrum import (evaluate_spectrum, hybrid_linewidth, line_center,
                        line_shape, phase_shift)
 
@@ -224,7 +223,6 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
 
     if sc.method == "demodulated":
         center = abs(line.center)
-        duration = sc.demod_periods / center
         fs = sc.samples_per_cycle * center
         highest = float(np.max(np.abs(omegas)))
         bound = MIN_SAMPLES_PER_CYCLE * highest
@@ -234,7 +232,7 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{least:.6g}")
-        n = float(np.round(duration * fs))
+        n = float(np.round(sc.demod_periods / center * fs))
         _check_record_sizes(sc, [n], ("demod_periods", "samples_per_cycle"))
         n = int(n)
         lowest = float(np.min(np.abs(omegas)))
@@ -249,6 +247,7 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"demod_periods = {sc.demod_periods:g} gives a demodulation "
                 f"window of {window:.3g} periods at the scan's lowest "
                 f"frequency {lowest:.6g}, below {MIN_DEMOD_PERIODS:g}; {hint}")
+        t = np.arange(n) / fs
     responses = evaluate_spectrum(omegas, system, bundle.optics,
                                   s2_in=sc.signal_amplitude)
     table = _table(SPECTRUM_COLUMNS, omegas,
@@ -262,9 +261,9 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     if sc.method == "demodulated":
         lockins = []
         for omega, resp, rng in zip(omegas.tolist(), responses, rngs):
-            t, s2_t = stokes_time_series(
-                resp.s2_out, omega, duration, fs, noise_sigma=sc.noise_sigma,
-                rng=rng if sc.noise_sigma else None)
+            s2_t = np.real(resp.s2_out * np.exp(-1j * TWO_PI * omega * t))
+            if sc.noise_sigma:
+                s2_t = s2_t + rng.normal(0.0, sc.noise_sigma, size=t.shape)
             lockins.append(heterodyne_extract(t, s2_t, omega))
         # math.hypot, not abs(z): the two round differently in the last bit
         table["transmission"] = [

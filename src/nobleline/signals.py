@@ -1,4 +1,4 @@
-"""Stokes-channel bookkeeping, waveform synthesis, and parameter estimation.
+"""Stokes-channel bookkeeping and parameter estimation.
 
 Spectral convention: a real channel with complex amplitude X at frequency
 omega is x(t) = Re[X exp(-2*pi*i*omega*t)]. Writing x(t) = A*cos(2*pi*omega*t
@@ -21,47 +21,11 @@ from .model import TWO_PI, FitConvergenceError, ValidityError
 
 CONFIDENCE = 0.95
 
-#: minimum sample_rate / omega for synthesis (Nyquist with margin)
+#: minimum sample_rate / omega of every sampled record (Nyquist with margin)
 MIN_SAMPLES_PER_CYCLE = 4.0
 
 #: minimum beat periods a demodulation window must span
 MIN_DEMOD_PERIODS = 3.0
-
-
-def time_grid(duration: float, sample_rate: float) -> np.ndarray:
-    """Uniform sample times [0, duration) at sample_rate."""
-    n = int(round(duration * sample_rate))
-    if n < 2:
-        raise ValidityError("duration * sample_rate must give at least 2 samples")
-    return np.arange(n) / sample_rate
-
-
-def synthesize_channel(times: np.ndarray, amplitude: complex, omega: float,
-                       noise_sigma: float = 0.0,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Real channel Re[amplitude * exp(-2*pi*i*omega*t)] plus white noise."""
-    x = np.real(amplitude * np.exp(-1j * TWO_PI * omega * times))
-    if noise_sigma:
-        if rng is None:
-            raise ValidityError("noise requested without an rng")
-        x = x + rng.normal(0.0, noise_sigma, size=times.shape)
-    return x
-
-
-def stokes_time_series(s2: complex, omega: float, duration: float,
-                       sample_rate: float, noise_sigma: float = 0.0,
-                       rng: np.random.Generator | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Photodetector record (t, S2(t)) for a given spectral amplitude.
-
-    Requires sample_rate > 4*omega.
-    """
-    if omega != 0.0 and sample_rate <= MIN_SAMPLES_PER_CYCLE * abs(omega):
-        raise ValidityError(
-            f"sample_rate {sample_rate:.6g} must exceed {MIN_SAMPLES_PER_CYCLE:g}"
-            f" * omega = {MIN_SAMPLES_PER_CYCLE * abs(omega):.6g}")
-    t = time_grid(duration, sample_rate)
-    return t, synthesize_channel(t, s2, omega, noise_sigma, rng)
 
 
 #: the normal quantile at (1 + CONFIDENCE)/2 = 0.975, as a double and the
@@ -333,6 +297,25 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     return x, nfev, njev
 
 
+def _check_squarable(values: np.ndarray, what: str, fit: str,
+                     low: bool = True) -> None:
+    """Refuse an array a fitter squares when float64 cannot hold the
+    squares: a peak above sqrt(max / n) lets a sum of n squares overflow,
+    and (with `low`) a nonzero |value| below sqrt(tiny) squares into the
+    subnormals or to zero. inf and nan count as too large."""
+    a = np.abs(values)
+    peak = float(a.max())
+    if not peak <= math.sqrt(np.finfo(float).max / a.size):
+        raise ValidityError(f"{what} value {peak:g} is too large to square "
+                            f"in a {fit} fit")
+    if not low:
+        return
+    least = float(np.min(a, where=a > 0.0, initial=math.inf))
+    if least < math.sqrt(np.finfo(float).tiny):
+        raise ValidityError(f"{what} value {least:g} is too small to square "
+                            f"in a {fit} fit")
+
+
 class _Reported:
     """A fit result's `*_fit.json` entry, from the class constants MODEL,
     PARAMETERS (in order; a parameter carries ci_low/ci_high when the class
@@ -411,6 +394,7 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 5:
         raise ValidityError("need >= 5 points to fit a 4-parameter line shape")
+    _check_squarable(y, "y", "line-shape")
 
     base0 = float(np.median(np.concatenate([y[:2], y[-2:]])))
     if base0 <= 0:
@@ -517,6 +501,7 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     y = np.asarray(values, dtype=float)
     if t.size != y.size or t.size < 16:
         raise ValidityError("need >= 16 samples to fit a decaying sinusoid")
+    _check_squarable(y, "record", "decaying-sinusoid")
     t0 = t[0]
     ts = t - t0
     span = float(ts[-1])
@@ -641,17 +626,17 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """OLS line y = slope*x + intercept with a delta-method x-intercept CI.
 
     The crossing is flagged undefined when the slope's confidence interval
-    contains zero or the slope squares to zero. Nonzero x values whose squares underflow (|x| < 1.5e-154)
-    are refused: the normal matrix X^T X would lose them.
+    contains zero or the slope squares to zero. Nonzero x values whose
+    squares underflow (|x| < 1.5e-154) are refused: the normal matrix X^T X
+    would lose them. So are x or y whose sum of squares would overflow;
+    tiny y stay, as a slope too small to square is flagged above.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValidityError("need >= 3 points for a linear fit")
-    small = np.abs(x[x != 0.0])
-    if small.size and small.min() < math.sqrt(np.finfo(float).tiny):
-        raise ValidityError(f"x value {small.min():g} is too small to square "
-                            "in a linear fit")
+    _check_squarable(x, "x", "linear")
+    _check_squarable(y, "y", "linear", low=False)
     design = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     s, i = (float(v) for v in coef)

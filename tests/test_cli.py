@@ -463,8 +463,7 @@ def test_short_demodulation_window_exits_config_before_any_work(
     sections["scenario"].update(method="demodulated", **scenario)
     out = tmp_path / "out"
     with monkeypatch.context() as patch:
-        for name in ("evaluate_spectrum", "stokes_time_series"):
-            patch.setattr(experiments, name, unreachable)
+        patch.setattr(experiments, "evaluate_spectrum", unreachable)
         code = main(["spectrum", "--config",
                      write_ini(tmp_path / "f.ini", sections), "--out",
                      str(out)])
@@ -528,8 +527,7 @@ def test_oversized_record_exits_config_before_evolving(
         raise AssertionError("a record was built before the size check")
 
     monkeypatch.setattr(dynamics, "evolve_exact", unreachable)
-    for name in ("fit_decaying_sinusoid", "stokes_time_series",
-                 "heterodyne_extract"):
+    for name in ("fit_decaying_sinusoid", "heterodyne_extract"):
         monkeypatch.setattr(experiments, name, unreachable)
     sections = preset_sections()
     sections["scenario"].update(overrides)
@@ -603,15 +601,25 @@ def test_near_degenerate_field_runs_without_any_warning(tmp_path, capsys,
     ("excite", {"dead_efolds": "1e7"}, EXIT_CONFIG, "dead_efolds"),
     ("spectrum", {"baseline_halfwidths": "1e12"}, EXIT_CONFIG,
      "baseline_halfwidths"),
+    ("transient", {"tilt_amplitude": "1e-300"}, EXIT_VALIDITY,
+     "too small to square"),
+    ("transient", {"tilt_amplitude": "1e300"}, EXIT_VALIDITY,
+     "too large to square"),
+    ("spectrum", {"noise_sigma": "1e300"}, EXIT_VALIDITY,
+     "too large to square"),
 ], ids=["excite-dead_efolds-1e308", "spectrum-baseline_halfwidths-1e308",
         "sweep-field-fields-1e-300", "excite-dead_efolds-1e7",
-        "spectrum-baseline_halfwidths-1e12"])
+        "spectrum-baseline_halfwidths-1e12", "transient-tilt_amplitude-1e-300",
+        "transient-tilt_amplitude-1e300", "spectrum-noise_sigma-1e300"])
 def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
                                                     scenario, code, named):
     # the first three used to end in a traceback: a phase that overflowed to
     # NaN, an overflowing delta_a**2, and a slope whose square underflowed to
-    # zero. The last two exited 0: every readout was zero, and the dip fit
-    # put the 4.5 mHz line at 19.79 Hz 2.2 kHz wide at 5.7 kHz
+    # zero. The next two exited 0: every readout was zero, and the dip fit
+    # put the 4.5 mHz line at 19.79 Hz 2.2 kHz wide at 5.7 kHz. The last
+    # three printed raw numpy warnings: a 1e-300 tilt's fit never moved and
+    # exited 0 with infinite intervals; the other two overflowed in the fit
+    # and exited 2
     sections = preset_sections()
     sections["scenario"].update(scenario)
     out = tmp_path / "out"

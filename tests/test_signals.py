@@ -1,4 +1,4 @@
-"""Waveform synthesis, heterodyne extraction, and the model fitters."""
+"""Heterodyne extraction and the model fitters."""
 
 import math
 from unittest import mock
@@ -12,53 +12,29 @@ from nobleline import signals
 from nobleline.model import TWO_PI, FitConvergenceError, ValidityError
 from nobleline.signals import (_normal_inverse, fit_decaying_sinusoid,
                                fit_inverted_lorentzian, fit_linear,
-                               heterodyne_extract,
-                               stokes_time_series, synthesize_channel,
-                               time_grid)
-
-
-def test_synthesize_channel_convention():
-    # x(t) = Re[X e^{-2 pi i w t}]; X = A e^{-i phi} gives A cos(2 pi w t + phi)
-    t = time_grid(2.0, 64.0)
-    amp, phi, w = 1.7, 0.4, 3.0
-    x = synthesize_channel(t, amp * np.exp(-1j * phi), w)
-    assert np.allclose(x, amp * np.cos(TWO_PI * w * t + phi), atol=1e-12)
-
-
-def test_synthesize_noise_needs_rng():
-    t = time_grid(1.0, 32.0)
-    with pytest.raises(ValidityError):
-        synthesize_channel(t, 1.0 + 0.0j, 2.0, noise_sigma=0.1)
-
-
-def test_time_grid_guards():
-    with pytest.raises(ValidityError):
-        time_grid(0.001, 100.0)  # fewer than 2 samples
-
-
-def test_stokes_series_nyquist_guard():
-    with pytest.raises(ValidityError):
-        stokes_time_series(1.0, omega=10.0, duration=1.0, sample_rate=30.0)
+                               heterodyne_extract)
 
 
 def test_heterodyne_recovers_amplitude_and_phase():
+    # x(t) = Re[X e^{-2 pi i w t}]; X = A e^{-i phi} gives A cos(2 pi w t + phi)
     w = 19.88
-    t = time_grid(8.0 / w, 64.0 * w)
+    t = np.arange(512) / (64.0 * w)
     amp, phi = 0.37, -1.1
-    x = synthesize_channel(t, amp * np.exp(-1j * phi), w)
+    x = amp * np.cos(TWO_PI * w * t + phi)
     z = heterodyne_extract(t, x, w)
     assert abs(z) == pytest.approx(amp, rel=1e-12)
     assert math.atan2(-z.imag, z.real) == pytest.approx(phi, abs=1e-12)
     # z recovers the spectral amplitude in the package convention
     assert z == pytest.approx(amp * np.exp(-1j * phi), rel=1e-12)
     # and the tone re-synthesized from z is the record
-    assert np.max(np.abs(synthesize_channel(t, z, w) - x)) < 1e-13
+    assert np.max(np.abs(np.real(z * np.exp(-1j * TWO_PI * w * t)) - x)) \
+        < 1e-13
 
 
 def test_heterodyne_window_guard():
     w = 2.0
-    t = time_grid(1.0, 64.0)  # two periods only
-    x = synthesize_channel(t, 1.0 + 0.0j, w)
+    t = np.arange(64) / 64.0  # two periods only
+    x = np.cos(TWO_PI * w * t)
     with pytest.raises(ValidityError):
         heterodyne_extract(t, x, w)
 
@@ -491,6 +467,15 @@ def test_linear_fit_flat_slope_undefined():
     fit = fit_linear(np.array([1.0, 2.0, 3.0]), np.array([1e-170, 2e-170,
                                                           3e-170]))
     assert not fit.x_intercept_defined and math.isnan(fit.x_intercept)
+
+
+def test_linear_fit_refuses_overflowing_squares():
+    # X^T X overflowed: a zero-width slope interval, crossing "defined"
+    x = np.array([1e160, 2e160, 3e160, 4e160])
+    with pytest.raises(ValidityError, match="too large to square"):
+        fit_linear(x, np.array([1.0, 2.1, 2.9, 4.0]))
+    with pytest.raises(ValidityError, match="too large to square"):
+        fit_linear(np.arange(4.0), x)
 
 
 def test_linear_fit_needs_points():

@@ -7,7 +7,8 @@ PARENT_SRC and CHANGE_SRC are directories holding a `nobleline` package
 CLI scenarios, in a fresh interpreter with PYTHONPATH set to that side,
 from its own packaged preset with a few [scenario] overrides:
 
-- spectrum, closed-form and demodulated, noise_sigma = 0.01;
+- spectrum, closed-form and demodulated, noise_sigma = 0.01, and
+  demodulated without noise;
 - excite, plain, with ramp_efolds = 0.5 and with noise_sigma = 0.01
   (rectified noisy amplitudes);
 - sweep-field and transient, each with and without noise_sigma = 0.05;
@@ -17,7 +18,8 @@ from its own packaged preset with a few [scenario] overrides:
   exact slow-mode decay, so the run must still pass;
 - calibrate;
 
-each at seeds 1 and 20260819, three files per run: 72 files per side.
+each at seeds 1 and 20260819, three files per run: 13 cases, 78 files
+per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset, and of `derive-params` on the preset with [optics]
 removed (no line and no optics block). The tool prints one
@@ -46,6 +48,7 @@ CASES = {
     "spectrum_closed_form": ("spectrum", {"noise_sigma": "0.01"}),
     "spectrum_demodulated": ("spectrum", {"noise_sigma": "0.01",
                                           "method": "demodulated"}),
+    "spectrum_demodulated_clean": ("spectrum", {"method": "demodulated"}),
     "excite": ("excite", {}),
     "excite_ramped": ("excite", {"ramp_efolds": "0.5"}),
     "excite_noisy": ("excite", {"noise_sigma": "0.01"}),
