@@ -97,7 +97,11 @@ def _run_scenario_command(args, scenario_name: str) -> int:
         os.write(lock_fd, str(os.getpid()).encode())
         os.close(lock_fd)
         result = run_scenario(bundle)
-        paths = result.write(args.out, prefix)
+        try:
+            paths = result.write(args.out, prefix)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename or args.out}: "
+                              f"{exc.strerror or exc}") from None
     finally:
         try:
             os.remove(lock_path)

@@ -18,10 +18,10 @@ which contains no conjugate coupling; the two drive sidebands therefore
 evolve independently, and piecewise-harmonic drives admit an exact
 eigenmode solution (evolve_exact), the only dynamics engine. Values stay
 complex: a state is the pair (f, r), a SpinTrajectory holds f and r as two
-complex arrays, and excite_and_readout returns r; only the points table
-splits them into real and imaginary columns. The adaptive integrator that
-checks the engine, driven by the same Segment list, lives with the tests
-(tests/bloch_oracle.py).
+complex arrays, and excite_and_readout returns r per drive frequency;
+only the points table splits them into real and imaginary columns. The
+adaptive integrator that checks the engine, driven by the same Segment
+list, lives with the tests (tests/bloch_oracle.py).
 """
 
 from __future__ import annotations
@@ -77,28 +77,48 @@ def _system_matrix(system: SystemParams) -> np.ndarray:
 
 
 class _Modes:
-    """Cached eigendecomposition of the complex generator."""
+    """Cached eigendecomposition of the complex generator, and its shifted
+    generators at the drive frequencies it last solved for."""
 
     def __init__(self, system: SystemParams):
         self.matrix = _system_matrix(system)
         self.eigvals, self.vectors = np.linalg.eig(self.matrix)
         self.inverse = np.linalg.inv(self.vectors)
         self.drive_coeff = system.drive_coeff
+        self._shifted = (None, None, None)
 
-    def particular(self, amplitudes, omega: float) -> np.ndarray:
+    def _shift(self, omegas: np.ndarray):
+        """(regular, shifted) at each of omegas: the generators shifted by
+        +-iW as (2, P, 2, 2), and whether both of a row's are far from
+        singular. Kept for the next call at the same frequencies, as every
+        stretch of a scan is driven at the scan's."""
+        key = omegas.tobytes()
+        if self._shifted[0] != key:
+            w = TWO_PI * omegas[:, np.newaxis, np.newaxis]
+            # the shifted generators have eigenvalues lambda +- iW; roundoff
+            # keeps an on-resonance shift from being exactly singular, so
+            # test how close the nearest one comes to zero against the largest
+            gaps = np.abs(self.eigvals[:, np.newaxis]
+                          + 1j * w * np.array([1, -1]))
+            regular = np.all(gaps.min(axis=1) > 1e-12 * gaps.max(axis=1),
+                             axis=1)
+            eye = np.eye(2)
+            self._shifted = key, regular, np.stack(
+                [self.matrix + 1j * w * eye, self.matrix - 1j * w * eye])
+        return self._shifted[1:]
+
+    def particular(self, amplitudes, omegas) -> np.ndarray:
         """Particular solutions u+ e^{-i W t} + u- e^{+i W t} as u[0], u[1]:
-        a row per amplitude (zero for 0), each row its own LAPACK solve."""
+        a row per amplitude (zero for 0), each driven at its own entry of
+        omegas (or at one shared frequency), each row its own LAPACK solve."""
         amps = np.asarray(amplitudes, dtype=complex)
         u = np.zeros((2, amps.size, 2), dtype=complex)
         driven = amps != 0
         if not driven.any():
             return u
-        w = TWO_PI * omega
-        # the shifted generators have eigenvalues lambda +- iW; roundoff keeps
-        # an on-resonance shift from being exactly singular, so test how
-        # close the nearest one comes to zero against the largest
-        gaps = np.abs(self.eigvals[:, np.newaxis] + 1j * w * np.array([1, -1]))
-        if not np.all(gaps.min(axis=0) > 1e-12 * gaps.max(axis=0)):
+        regular, shifted = self._shift(np.broadcast_to(
+            np.asarray(omegas, dtype=float), amps.shape))
+        if not regular[driven].all():
             raise ValidityError(
                 "drive frequency sits (numerically) on an undamped eigenmode;"
                 " the steady response is unbounded")
@@ -106,10 +126,7 @@ class _Modes:
         d[0, :, 0, 0] = 1j * TWO_PI * self.drive_coeff * amps[driven] / 2.0
         d[1, :, 0, 0] = (1j * TWO_PI * self.drive_coeff
                          * np.conj(amps[driven]) / 2.0)
-        eye = np.eye(2)
-        shifted = np.stack([self.matrix + 1j * w * eye,
-                            self.matrix - 1j * w * eye])
-        u[:, driven] = np.linalg.solve(shifted[:, np.newaxis], -d)[..., 0]
+        u[:, driven] = np.linalg.solve(shifted[:, driven], -d)[..., 0]
         return u
 
 
@@ -177,22 +194,61 @@ class Segment:
 RAMP_SUBSTEPS = 64
 
 
-def _expand_ramps(segment: Segment):
-    """Split raised-cosine edges into constant-amplitude substeps."""
-    if segment.ramp == 0.0:
-        yield segment.duration, segment.amplitude, segment.omega, 0.0
+def _expand_ramps(durations, amplitude, omegas, ramp: float):
+    """Split segments that share an amplitude and a ramp, one per entry of
+    durations and omegas, into constant-amplitude stretches, one stretch
+    index at a time: yields (durations, amplitudes) of shape (P,), each
+    amplitude phased to its stretch's start so the drive stays continuous
+    across substeps. Raised-cosine edges are midpoint-sampled; a row whose
+    flat top is empty gets duration 0 there, and a flat top empty in every
+    row is not yielded."""
+    def phased(amp, offsets):
+        out = np.full(durations.shape, amp, dtype=complex)
+        if np.any(offsets):     # else a stretch at the segment's start
+            # the unfused product of a lone complex scalar: numpy's array
+            # product fuses it and rounds differently
+            phase = np.exp(-1j * TWO_PI * omegas * offsets)
+            a = complex(amp)
+            out.real = a.real * phase.real - a.imag * phase.imag
+            out.imag = a.real * phase.imag + a.imag * phase.real
+        return out
+
+    if ramp == 0.0:
+        yield durations, phased(amplitude, 0.0)
         return
-    h = segment.ramp / RAMP_SUBSTEPS
-    for k in range(RAMP_SUBSTEPS):  # rising edge, midpoint-sampled envelope
+    step = ramp / RAMP_SUBSTEPS
+    h = np.full(durations.shape, step)
+    for k in range(RAMP_SUBSTEPS):  # rising edge
         env = 0.5 * (1.0 - math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
-        yield h, segment.amplitude * env, segment.omega, (k * h)
-    flat = segment.duration - 2.0 * segment.ramp
-    if flat > 0:
-        yield flat, segment.amplitude, segment.omega, segment.ramp
+        yield h, phased(amplitude * env, k * step)
+    flat = durations - 2.0 * ramp
+    if (flat > 0).any():
+        yield flat, phased(amplitude, ramp)
     for k in range(RAMP_SUBSTEPS):
         env = 0.5 * (1.0 + math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
-        yield h, segment.amplitude * env, segment.omega, \
-            segment.duration - segment.ramp + k * h
+        yield h, phased(amplitude * env, durations - ramp + k * step)
+
+
+def _advance(modes: _Modes, states, times, amplitudes, omegas) -> np.ndarray:
+    """Carry a leading axis of states through one constant-amplitude
+    stretch each, by the exact eigenmode solution: row p of states (P, 2)
+    is driven at amplitudes[p] and omegas[p] and sampled at times[p], the
+    (n,) times since the stretch's start, the last of them its end. Returns
+    the (P, n, 2) samples. Every row runs the arithmetic of a lone state,
+    in the same order: the stacked matmuls take one 2x2 product per row."""
+    u_plus, u_minus = modes.particular(amplitudes, omegas)
+    coeffs = modes.inverse @ (states - (u_plus + u_minus))[..., np.newaxis]
+    decay = np.exp(times[..., np.newaxis] * modes.eigvals)
+    ys = decay * coeffs[:, np.newaxis, :, 0] @ modes.vectors.T
+    driven = amplitudes != 0    # an undriven row has no particular solution
+    if driven.any():
+        w = TWO_PI * omegas[:, np.newaxis]
+        np.add(ys, np.exp(-1j * w * times)[..., np.newaxis]
+               * u_plus[:, np.newaxis]
+               + np.exp(1j * w * times)[..., np.newaxis]
+               * u_minus[:, np.newaxis],
+               out=ys, where=driven[:, np.newaxis, np.newaxis])
+    return ys
 
 
 def evolve_exact(system: SystemParams, segments,
@@ -210,44 +266,27 @@ def evolve_exact(system: SystemParams, segments,
     initial state is the pair (f, r).
     """
     modes = _Modes(system)
-    state = np.array(initial, dtype=complex)
-    ts_out = [np.array([0.0])]
-    ys_out = [state[np.newaxis, :].copy()]
+    state = np.array([initial], dtype=complex)
+    ts_out, ys_out = [np.array([0.0])], [state]
     t_base = 0.0
     for seg in segments:
-        stretches = list(_expand_ramps(seg))
-        # keep the drive phase continuous across substeps
-        amps = [amp * np.exp(-1j * TWO_PI * omega * offset) if offset else amp
-                for _, amp, omega, offset in stretches]
-        w = TWO_PI * seg.omega
-        # grids, decay and phasors depend only on a stretch's duration
-        grids, waves = {}, {}
-        for (dur, *_), amp, u_plus, u_minus in zip(
-                stretches, amps, *modes.particular(amps, seg.omega)):
-            h0 = state - (u_plus + u_minus)
-            coeffs = modes.inverse @ h0
-            if dur not in grids:
-                if sample_rate and dur * sample_rate >= 2.0:
-                    n = int(math.floor(dur * sample_rate))
-                    t_loc = np.arange(1, n + 1) / sample_rate
-                    if t_loc[-1] < dur:
-                        t_loc = np.append(t_loc, dur)
-                    else:
-                        t_loc[-1] = dur
+        omegas = np.array([seg.omega])
+        for durations, amps in _expand_ramps(np.array([seg.duration]),
+                                             seg.amplitude, omegas, seg.ramp):
+            dur = float(durations[0])
+            if sample_rate and dur * sample_rate >= 2.0:
+                n = int(math.floor(dur * sample_rate))
+                t_loc = np.arange(1, n + 1) / sample_rate
+                if t_loc[-1] < dur:
+                    t_loc = np.append(t_loc, dur)
                 else:
-                    t_loc = np.array([dur])
-                grids[dur] = t_loc, np.exp(np.outer(t_loc, modes.eigvals))
-            t_loc, decay = grids[dur]
-            ys = decay * coeffs[np.newaxis, :] @ modes.vectors.T
-            if amp != 0:    # an undriven stretch has no particular solution
-                if dur not in waves:
-                    waves[dur] = (np.exp(-1j * w * t_loc)[:, None],
-                                  np.exp(1j * w * t_loc)[:, None])
-                e_minus, e_plus = waves[dur]
-                ys += e_minus * u_plus[None, :] + e_plus * u_minus[None, :]
-            state = ys[-1].copy()
+                    t_loc[-1] = dur
+            else:
+                t_loc = np.array([dur])
+            ys = _advance(modes, state, t_loc[np.newaxis], amps, omegas)
+            state = ys[:, -1]
             ts_out.append(t_base + t_loc)
-            ys_out.append(ys)
+            ys_out.append(ys[0])
             t_base += dur
     t = np.concatenate(ts_out)
     y = np.concatenate(ys_out, axis=0)
@@ -304,35 +343,50 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
 # protocols
 
 
-def excite_and_readout(system: SystemParams, omega: float | None = None,
+def excite_and_readout(system: SystemParams, omegas=None,
                        s3_amplitude: complex = 1.0 + 0.0j,
                        pulse_efolds: float = 3.0, ramp: float = 0.0,
-                       dead_efolds: float = 6.0) -> complex:
-    """Excite the hybrid line, wait out the alkali transient, return r.
+                       dead_efolds: float = 6.0) -> np.ndarray:
+    """Excite the hybrid line at each drive frequency of omegas, wait out
+    the alkali transient, and return r per frequency.
 
-    The pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma)
-    (so the default 3 leaves the noble spin near saturation but still
-    Fourier-broadens a scanned line; push to >= 8 for width fidelity). The
-    dead time, dead_efolds/(2*pi*gamma_a), lets the fast alkali mode ring
-    down; the remaining slow decay over it is common to every frequency in
-    a scan and divides out on normalization. The result is the complex
-    noble coherence r = R_x + i R_y at the end of the dead time, where a
-    readout would start; its modulus is the readout amplitude |R|.
-    omega defaults to the hybrid line center.
+    Each pulse lasts pulse_efolds slow-line e-folding times 1/(2*pi*gamma),
+    gamma the closed-form width at its own frequency (so the default 3
+    leaves the noble spin near saturation but still Fourier-broadens a
+    scanned line; push to >= 8 for width fidelity). The dead time,
+    dead_efolds/(2*pi*gamma_a), lets the fast alkali mode ring down; the
+    remaining slow decay over it is common to every frequency in a scan and
+    divides out on normalization. The result holds the complex noble
+    coherence r = R_x + i R_y at the end of each dead time, where a readout
+    would start; its modulus is the readout amplitude |R|. omegas defaults
+    to the hybrid line center alone. One evolution carries every frequency
+    through each stretch together, each row bit for bit as evolve_exact
+    would carry it alone.
     """
-    if omega is None:
-        omega = line_center(system)
-    gamma = hybrid_linewidth(system, omega - system.omega_a)
-    if gamma <= 0:
+    if omegas is None:
+        omegas = [line_center(system)]
+    omegas = np.asarray(omegas, dtype=float)
+    gammas = np.array([hybrid_linewidth(system, omega - system.omega_a)
+                       for omega in omegas.tolist()])
+    if not np.all(gammas > 0):
         raise ValidityError("undamped line: excitation never saturates")
-    pulse = pulse_efolds / (TWO_PI * gamma)
+    pulses = pulse_efolds / (TWO_PI * gammas)
+    if not (pulse_efolds > 0 and 0 <= 2 * ramp <= pulses.min()):
+        raise ValueError("pulses must be positive and hold both ramps")
     dead = dead_efolds / (TWO_PI * system.gamma_a) if system.gamma_a > 0 else 0.0
 
-    segments = [Segment(duration=pulse, amplitude=s3_amplitude, omega=omega,
-                        ramp=ramp)]
+    segments = [(pulses, s3_amplitude, ramp)]
     if dead > 0:
-        segments.append(Segment(duration=dead))
-    return evolve_exact(system, segments, (0j, 0j)).final_state[1]
+        segments.append((np.full(omegas.shape, dead), 0j, 0.0))
+    modes = _Modes(system)
+    states = np.zeros((omegas.size, 2), dtype=complex)
+    for durations, amplitude, edge in segments:
+        for durs, amps in _expand_ramps(durations, amplitude, omegas, edge):
+            # a row with an empty flat top skips that stretch
+            states = np.where((durs > 0)[:, np.newaxis], _advance(
+                modes, states, durs[:, np.newaxis], amps, omegas)[:, -1],
+                states)
+    return states[:, 1]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ real columns. ``write`` emits three files per scenario::
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import json
 import math
 import os
+import stat
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -79,23 +80,42 @@ class ScanResult:
         return [dict(zip(self.table, r)) for r in self._records()]
 
     def write(self, outdir, prefix: str) -> list[str]:
+        """Write the three files together: each goes to a temporary sibling
+        first, and only when all three are written and each target is
+        absent or a regular file are they renamed into place. A failure
+        before the renames removes the temporaries and leaves every file
+        already there as it was; one between two renames can still leave
+        the three from different runs."""
         os.makedirs(outdir, exist_ok=True)
+        summary = {"scenario": self.name, "fits": self.fits,
+                   "extras": self.extras}
+        outputs = {"points.csv": self._write_points,
+                   "fit.json": lambda fh: write_json(summary, fh),
+                   "provenance.json": lambda fh: write_json(self.provenance,
+                                                            fh)}
+        paths = [os.path.join(outdir, f"{prefix}_{s}") for s in outputs]
+        tmps = []
+        try:
+            for path, fill in zip(paths, outputs.values()):
+                tmps.append(f"{path}.{os.getpid()}.tmp")
+                with open(tmps[-1], "w", newline="") as fh:
+                    fill(fh)
+            for path in paths:
+                if (os.path.lexists(path)
+                        and not stat.S_ISREG(os.lstat(path).st_mode)):
+                    raise OSError(errno.EEXIST,
+                                  "exists and is not a regular file", path)
+            for tmp, path in zip(tmps, paths):
+                os.replace(tmp, path)
+        finally:
+            for tmp in tmps:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        return paths
 
-        points = os.path.join(outdir, f"{prefix}_points.csv")
-        with _replacing(points) as fh:
-            fh.write(",".join(self.table) + "\n")
-            fh.writelines(",".join(map(repr, r)) + "\n"
-                          for r in self._records())
-
-        fitp = os.path.join(outdir, f"{prefix}_fit.json")
-        with _replacing(fitp) as fh:
-            write_json({"scenario": self.name, "fits": self.fits,
-                        "extras": self.extras}, fh)
-
-        provp = os.path.join(outdir, f"{prefix}_provenance.json")
-        with _replacing(provp) as fh:
-            write_json(self.provenance, fh)
-        return [points, fitp, provp]
+    def _write_points(self, fh) -> None:
+        fh.write(",".join(self.table) + "\n")
+        fh.writelines(",".join(map(repr, r)) + "\n" for r in self._records())
 
 
 def write_json(doc, fh) -> None:
@@ -103,20 +123,6 @@ def write_json(doc, fh) -> None:
     trailing newline."""
     json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
-
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Open a temporary sibling of path for writing and rename it over path
-    on success, so a failure never leaves a partial file under that name."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def _table(names, *columns) -> dict:
@@ -266,9 +272,18 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 s2_t = s2_t + rng.normal(0.0, sc.noise_sigma, size=t.shape)
             lockins.append(heterodyne_extract(t, s2_t, omega))
         # math.hypot, not abs(z): the two round differently in the last bit
-        table["transmission"] = [
-            (math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)) ** 2
-            for z in lockins]
+        ratios = [math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)
+                  for z in lockins]
+        # a float's ** raises where its square overflows; refuse it first
+        # (nan and inf count as too large)
+        squarable = math.sqrt(np.finfo(float).max)
+        unsquarable = [q for q in ratios if not q <= squarable]
+        if unsquarable:
+            raise ValidityError(
+                f"lock-in amplitude ratio {unsquarable[0]:g} is too large to "
+                f"square into a transmission (noise_sigma = "
+                f"{sc.noise_sigma:g})")
+        table["transmission"] = [q ** 2 for q in ratios]
         table["phase"] = [math.atan2(-z.imag, z.real) for z in lockins]
     elif sc.noise_sigma > 0:
         table["transmission"] = [
@@ -334,12 +349,12 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
                           f"{waited:.3g} e-folds of the line, which decays "
                           "every readout to zero")
 
+    readouts = excite_and_readout(
+        system, omegas, s3_amplitude=sc.signal_amplitude,
+        pulse_efolds=sc.pulse_efolds, ramp=ramp, dead_efolds=sc.dead_efolds)
     amps = []
-    for omega, rng in zip(omegas.tolist(), rngs):
-        amp = abs(excite_and_readout(
-            system, omega, s3_amplitude=sc.signal_amplitude,
-            pulse_efolds=sc.pulse_efolds, ramp=ramp,
-            dead_efolds=sc.dead_efolds))
+    for r, rng in zip(readouts, rngs):
+        amp = abs(r)
         if sc.noise_sigma > 0:
             amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
         amps.append(amp)

@@ -320,6 +320,36 @@ def test_lockfile_blocks_concurrent_run(tmp_path, capsys):
     assert (tmp_path / "transient.lock").exists()
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("transient", "fit.json"), ("spectrum", "provenance.json"),
+], ids=["transient", "spectrum"])
+def test_write_failure_keeps_earlier_outputs(tmp_path, capsys, command,
+                                             blocked):
+    # a directory at one output's path used to end in an IsADirectoryError
+    # traceback, after the files written before it had replaced the earlier
+    # run's
+    out = tmp_path / "out"
+    out.mkdir()
+    suffixes = ("points.csv", "fit.json", "provenance.json")
+    for suffix in suffixes:
+        target = out / f"{command}_{suffix}"
+        if suffix == blocked:
+            target.mkdir()
+        else:
+            target.write_bytes(f"earlier {suffix}\n".encode())
+    assert main([command, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config:")
+    assert err.count("\n") == 1
+    assert str(out / f"{command}_{blocked}") in err
+    # the earlier files keep their bytes; no temporary or lock is left
+    for suffix in suffixes:
+        target = out / f"{command}_{suffix}"
+        assert target.is_dir() if suffix == blocked else (
+            target.read_bytes() == f"earlier {suffix}\n".encode())
+    assert len(list(out.iterdir())) == 3
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("spectrum", "method", "dynamics"),
     ("excite", "ramp_efolds", "-0.1"),
@@ -607,10 +637,13 @@ def test_near_degenerate_field_runs_without_any_warning(tmp_path, capsys,
      "too large to square"),
     ("spectrum", {"noise_sigma": "1e300"}, EXIT_VALIDITY,
      "too large to square"),
+    ("spectrum", {"noise_sigma": "1e300", "method": "demodulated"},
+     EXIT_VALIDITY, "too large to square"),
 ], ids=["excite-dead_efolds-1e308", "spectrum-baseline_halfwidths-1e308",
         "sweep-field-fields-1e-300", "excite-dead_efolds-1e7",
         "spectrum-baseline_halfwidths-1e12", "transient-tilt_amplitude-1e-300",
-        "transient-tilt_amplitude-1e300", "spectrum-noise_sigma-1e300"])
+        "transient-tilt_amplitude-1e300", "spectrum-noise_sigma-1e300",
+        "spectrum-demodulated-noise_sigma-1e300"])
 def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
                                                     scenario, code, named):
     # the first three used to end in a traceback: a phase that overflowed to
@@ -619,7 +652,8 @@ def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
     # put the 4.5 mHz line at 19.79 Hz 2.2 kHz wide at 5.7 kHz. The last
     # three printed raw numpy warnings: a 1e-300 tilt's fit never moved and
     # exited 0 with infinite intervals; the other two overflowed in the fit
-    # and exited 2
+    # and exited 2. The demodulated spectrum's lock-in amplitude overflowed
+    # its square in an OverflowError traceback
     sections = preset_sections()
     sections["scenario"].update(scenario)
     out = tmp_path / "out"

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bloch_oracle import integrate_bloch, segment_drive
-from nobleline.dynamics import (MAX_WIDTH_GAP, Segment, SidebandResponse,
-                                _expand_ramps, _Modes, evolve_exact,
+from nobleline.dynamics import (MAX_WIDTH_GAP, RAMP_SUBSTEPS, Segment,
+                                SidebandResponse, _Modes, evolve_exact,
                                 exact_linear_response, excite_and_readout,
                                 magnetic_pulse_transient, slow_mode,
                                 tilt_state, width_gap)
@@ -201,6 +201,25 @@ def test_particular_batch_matches_one_solve_per_amplitude():
         assert u_minus[k].tobytes() == minus.tobytes(), amp
 
 
+def _substeps(seg):
+    """(duration, amplitude, offset) of each constant-amplitude stretch of
+    seg: a midpoint-sampled raised-cosine edge of RAMP_SUBSTEPS steps, the
+    flat top unless it is empty, and the falling edge."""
+    if seg.ramp == 0.0:
+        yield seg.duration, seg.amplitude, 0.0
+        return
+    h = seg.ramp / RAMP_SUBSTEPS
+    for k in range(RAMP_SUBSTEPS):
+        env = 0.5 * (1.0 - math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
+        yield h, seg.amplitude * env, k * h
+    flat = seg.duration - 2.0 * seg.ramp
+    if flat > 0:
+        yield flat, seg.amplitude, seg.ramp
+    for k in range(RAMP_SUBSTEPS):
+        env = 0.5 * (1.0 + math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
+        yield h, seg.amplitude * env, seg.duration - seg.ramp + k * h
+
+
 def _evolve_per_substep(system, segments, initial, sample_rate):
     """evolve_exact written out one constant-amplitude stretch at a time,
     each with its own solve, sample grid and exponentials."""
@@ -208,7 +227,8 @@ def _evolve_per_substep(system, segments, initial, sample_rate):
     state = np.array(initial, dtype=complex)
     ts_out, ys_out, t_base = [np.array([0.0])], [state[None, :].copy()], 0.0
     for seg in segments:
-        for dur, amp, omega, offset in _expand_ramps(seg):
+        omega = seg.omega
+        for dur, amp, offset in _substeps(seg):
             if offset:
                 amp = amp * np.exp(-1j * TWO_PI * omega * offset)
             u_plus, u_minus = _solve_one(modes, amp, omega)
@@ -299,8 +319,8 @@ def test_excite_and_readout_engines_agree():
     # the adaptive integrator driven by the same gated pulse is the reference
     sys = fast_system()
     omega = line_center(sys)
-    exact = excite_and_readout(sys, omega, s3_amplitude=1.0 + 0.0j,
-                               pulse_efolds=2.0, dead_efolds=4.0)
+    (exact,) = excite_and_readout(sys, [omega], s3_amplitude=1.0 + 0.0j,
+                                  pulse_efolds=2.0, dead_efolds=4.0)
     pulse = 2.0 / (TWO_PI * hybrid_linewidth(sys, omega - sys.omega_a))
     segments = [Segment(duration=pulse, amplitude=1.0 + 0.0j, omega=omega),
                 Segment(duration=4.0 / (TWO_PI * sys.gamma_a))]
@@ -310,11 +330,58 @@ def test_excite_and_readout_engines_agree():
     assert exact == pytest.approx(r_end, rel=1e-5)
 
 
+@pytest.mark.parametrize("ramp_share", [0.0, 0.3, 0.5],
+                         ids=["no-ramp", "ramped", "empty-flat-top"])
+def test_excite_scan_matches_one_evolution_per_point(ramp_share):
+    # one evolution carries every grid point through each stretch; each
+    # readout must keep the bits of that point's own evolve_exact run. The
+    # drive coefficient is not 1, every point has its own pulse length, and
+    # at ramp_share 0.5 the shortest pulse is all edge (no flat top)
+    sys = fast_system(tilt_coeff=0.37, alkali_polarization=0.7)
+    center = line_center(sys)
+    omegas = center + np.array([-41.0, -9.5, -2.0, 0.0, 1.5, 7.0, 3.0])
+    s3, pulse_efolds, dead_efolds = 0.6 - 0.3j, 0.5, 3.0
+    pulses = [pulse_efolds / (TWO_PI * hybrid_linewidth(sys, o - sys.omega_a))
+              for o in omegas.tolist()]
+    assert len(set(pulses)) == len(pulses)
+    ramp = ramp_share * min(pulses)
+    dead = dead_efolds / (TWO_PI * sys.gamma_a)
+    readouts = excite_and_readout(sys, omegas, s3_amplitude=s3,
+                                  pulse_efolds=pulse_efolds, ramp=ramp,
+                                  dead_efolds=dead_efolds)
+    expected = [evolve_exact(sys, [Segment(pulse, s3, omega, ramp),
+                                   Segment(dead)], (0j, 0j)).final_state[1]
+                for pulse, omega in zip(pulses, omegas.tolist())]
+    assert readouts.tobytes() == np.array(expected).tobytes()
+
+
+def test_excite_scan_builds_its_modes_once(preset_bundle, monkeypatch):
+    # the scan's eigendecomposition serves every grid point and stretch
+    import nobleline.dynamics as dynamics
+    from nobleline.config import scenario_with
+    from nobleline.experiments import run_scenario
+
+    built = []
+
+    class CountedModes(dynamics._Modes):
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
+
+    monkeypatch.setattr(dynamics, "_Modes", CountedModes)
+    scenario = scenario_with(preset_bundle.scenario, name="excite",
+                             ramp_efolds=0.5, points=9)
+    run_scenario(replace(preset_bundle, scenario=scenario))
+    assert len(built) == 1
+
+
 def test_excite_defaults_to_line_center(preset_system):
-    res = excite_and_readout(preset_system, pulse_efolds=1.0,
-                             dead_efolds=2.0)
-    assert res == excite_and_readout(preset_system, line_center(preset_system),
-                                     pulse_efolds=1.0, dead_efolds=2.0)
+    (res,) = excite_and_readout(preset_system, pulse_efolds=1.0,
+                                dead_efolds=2.0)
+    (at_center,) = excite_and_readout(preset_system,
+                                      [line_center(preset_system)],
+                                      pulse_efolds=1.0, dead_efolds=2.0)
+    assert res == at_center
     assert abs(res) > 0
 
 

@@ -260,4 +260,6 @@ def test_scan_result_write_leaves_no_partial_file(preset_bundle, tmp_path,
     monkeypatch.setattr(json, "dump", dump_then_fail)
     with pytest.raises(RuntimeError):
         res.write(tmp_path, prefix="demo")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_points.csv"]
+    # the three land together: the points file written before the failure
+    # is not renamed into place either, and no temporary is left
+    assert not any(tmp_path.iterdir())

@@ -9,8 +9,10 @@ from its own packaged preset with a few [scenario] overrides:
 
 - spectrum, closed-form and demodulated, noise_sigma = 0.01, and
   demodulated without noise;
-- excite, plain, with ramp_efolds = 0.5 and with noise_sigma = 0.01
-  (rectified noisy amplitudes);
+- excite, plain, with ramp_efolds = 0.5, with noise_sigma = 0.01
+  (rectified noisy amplitudes), and ramped with pulse_efolds = 8 and
+  noise_sigma = 0.01 (a pulse length of its own at every point, under
+  noise);
 - sweep-field and transient, each with and without noise_sigma = 0.05;
 - sweep-field on three fields with [optics] removed (a nan column);
 - transient at [magnetics] field = 2.0 mG, where |omega_a - omega_b| is
@@ -18,7 +20,7 @@ from its own packaged preset with a few [scenario] overrides:
   exact slow-mode decay, so the run must still pass;
 - calibrate;
 
-each at seeds 1 and 20260819, three files per run: 13 cases, 78 files
+each at seeds 1 and 20260819, three files per run: 14 cases, 84 files
 per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset, and of `derive-params` on the preset with [optics]
@@ -52,6 +54,9 @@ CASES = {
     "excite": ("excite", {}),
     "excite_ramped": ("excite", {"ramp_efolds": "0.5"}),
     "excite_noisy": ("excite", {"noise_sigma": "0.01"}),
+    "excite_ramped_noisy": ("excite", {"ramp_efolds": "0.5",
+                                       "pulse_efolds": "8",
+                                       "noise_sigma": "0.01"}),
     "sweep_field": ("sweep-field", {}),
     "sweep_field_noisy": ("sweep-field", {"noise_sigma": "0.05"}),
     "sweep_field_no_optics": ("sweep-field", {"fields": "4.0 5.0 6.1"}),
