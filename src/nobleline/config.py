@@ -39,8 +39,8 @@ SCENARIO_NAMES = ("spectrum", "excite", "sweep_field", "transient",
 
 #: largest `points` and `trials`: a closed-form spectrum point costs about
 #: 1.8 kB and 45 us (200,001 points peaked at 403 MB in 9.1 s) and a trial's
-#: random stream about 1 kB, so this cap holds a scan under 1 GB, inside the
-#: 1.2 GB budget of experiments.MAX_RECORD_SAMPLES
+#: random stream about 1 kB, so this cap holds a scan under 1 GB, the
+#: budget of experiments.MAX_RECORD_SAMPLES
 MAX_SCAN_ROWS = 500_000
 
 #: farthest baseline point, in half-widths: the line's tail there is

@@ -47,7 +47,8 @@ CALIBRATION_COLUMNS = ("trial", "slope", "slope_lo", "slope_hi",
 TRAJECTORY_COLUMNS = ("t", "f_x", "f_y", "r_x", "r_y")
 
 #: largest sampled record a run may build: evolving, fitting and writing
-#: one costs about 0.3 kB per sample, so this cap holds a transient near 1.2 GB
+#: one costs about 0.25 kB per sample, so this cap holds a transient near
+#: 1.0 GB
 MAX_RECORD_SAMPLES = 4_000_000
 
 #: widest core spacing of a scan, in half-widths: one point per full width
@@ -70,9 +71,14 @@ class ScanResult:
     provenance: dict
 
     def _records(self):
-        """The table's rows as tuples of Python scalars."""
-        return zip(*(np.asarray(c).tolist() for c in self.table.values()),
-                   strict=True)
+        """The table's rows as tuples of Python scalars, converted 4,096
+        rows at a time, so no whole column is held as Python objects.
+        Columns of unequal length raise ValueError."""
+        columns = [np.asarray(c) for c in self.table.values()]
+        block = 4096
+        for start in range(0, max(map(len, columns), default=0), block):
+            yield from zip(*(c[start:start + block].tolist()
+                             for c in columns), strict=True)
 
     @property
     def rows(self) -> list[dict]:
@@ -352,12 +358,16 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
     readouts = excite_and_readout(
         system, omegas, s3_amplitude=sc.signal_amplitude,
         pulse_efolds=sc.pulse_efolds, ramp=ramp, dead_efolds=sc.dead_efolds)
-    amps = []
-    for r, rng in zip(readouts, rngs):
-        amp = abs(r)
-        if sc.noise_sigma > 0:
-            amp = abs(amp + rng.normal(0.0, sc.noise_sigma))
-        amps.append(amp)
+    amps = [abs(r) for r in readouts]
+    if sc.noise_sigma > 0:
+        # noise at or above every readout leaves the fit rectified noise
+        if max(amps) <= sc.noise_sigma:
+            raise ValidityError(
+                f"noise_sigma = {sc.noise_sigma:g} is not below the largest "
+                f"noiseless readout {max(amps):.4g}; the fit would see only "
+                "rectified noise")
+        amps = [abs(amp + rng.normal(0.0, sc.noise_sigma))
+                for amp, rng in zip(amps, rngs)]
     peak = max(amps) or 1.0
     power = [(amp / peak) ** 2 for amp in amps]
 
@@ -411,6 +421,7 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         widths.append(2.0 * res.formula_decay)
         freqs.append(res.fit.frequency)
         decays.append(res.fit.decay_rate)
+        del res     # free this field's record before the next one evolves
     table = _table(SWEEP_COLUMNS, [float(b) for b in sc.fields],
                    [s.omega_b for s in systems], centers, widths, contrasts,
                    freqs, decays)

@@ -260,6 +260,7 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
             step, alpha = _more_step(uf, s, Vt.T, full_rank, Delta, alpha)
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            del Js      # record-sized; not kept alive through the next SVD
             x_new = x + step
             f_new = resid(x_new)
             nfev += 1
@@ -482,6 +483,27 @@ class SinusoidFit(_Reported):
     njev: int       # Jacobian evaluations
 
 
+def _sinusoid_start(y: np.ndarray, dt: float, span: float):
+    """(frequency, amplitude, decay rate) to start a decaying-sinusoid fit
+    of the record y, sampled every dt over span: the FFT peak, the largest
+    excursion from the mean and the ratio of the first and last quarter's
+    envelopes. Its record-sized temporaries are freed on return, before the
+    fit's SVDs."""
+    yc = y - float(np.mean(y))
+    spec = np.abs(np.fft.rfft(yc))
+    freqs = np.fft.rfftfreq(y.size, dt)
+    k = int(np.argmax(spec[1:])) + 1
+    f0 = float(freqs[k])
+    amp0 = float(np.max(np.abs(yc))) or 1.0
+    # envelope ratio between first and last quarter fixes the decay scale
+    q = max(y.size // 4, 4)
+    e1 = float(np.sqrt(np.mean(yc[:q]**2)))
+    e2 = float(np.sqrt(np.mean(yc[-q:]**2)))
+    if e1 > 0 and e2 > 0 and e2 < e1:
+        return f0, amp0, math.log(e1 / e2) / (TWO_PI * 0.75 * span)
+    return f0, amp0, 0.05 / span
+
+
 def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     """Fit frequency and decay of a free-precession record.
 
@@ -497,30 +519,20 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     transient record the fast alkali mode, left out of the one-mode model,
     biases the decay rate by up to 3.5 half-widths (8 mG, 32 per cycle).
     """
-    t = np.asarray(times, dtype=float)
+    # contiguous, as the ts = t below must meet the ufunc loops that t - t0
+    # would have met
+    t = np.ascontiguousarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size != y.size or t.size < 16:
         raise ValidityError("need >= 16 samples to fit a decaying sinusoid")
     _check_squarable(y, "record", "decaying-sinusoid")
     t0 = t[0]
-    ts = t - t0
+    # t - (+0.0) is t bit for bit, so a grid that starts at +0.0 is not
+    # copied; -0.0 is subtracted, as it turns -0.0 samples into +0.0
+    ts = t if t0 == 0.0 and not np.signbit(t0) else t - t0
     span = float(ts[-1])
     dt = float(np.mean(np.diff(ts)))
-
-    yc = y - float(np.mean(y))
-    spec = np.abs(np.fft.rfft(yc))
-    freqs = np.fft.rfftfreq(t.size, dt)
-    k = int(np.argmax(spec[1:])) + 1
-    f0 = float(freqs[k])
-    amp0 = float(np.max(np.abs(yc))) or 1.0
-    # envelope ratio between first and last quarter fixes the decay scale
-    q = max(t.size // 4, 4)
-    e1 = float(np.sqrt(np.mean(yc[:q]**2)))
-    e2 = float(np.sqrt(np.mean(yc[-q:]**2)))
-    if e1 > 0 and e2 > 0 and e2 < e1:
-        g00 = math.log(e1 / e2) / (TWO_PI * 0.75 * span)
-    else:
-        g00 = 0.05 / span
+    f0, amp0, g00 = _sinusoid_start(y, dt, span)
 
     # TRF evaluates the Jacobian where it last evaluated the residual, so one
     # transcendental pass per parameter vector serves both

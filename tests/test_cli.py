@@ -142,10 +142,12 @@ def test_seed_override_lands_in_provenance(tmp_path, capsys):
 
 
 # [scenario] knobs of a small run of each command, with noise so the seed
-# shows
+# shows; the preset's excite readouts peak near 4.6e-19, so excite's noise
+# is its own
 SMALL_RUN = {"points": "11", "span_halfwidths": "5", "noise_sigma": "0.01",
              "fields": "4.0 5.0 6.1", "observe_efolds": "0.3",
              "samples_per_cycle": "8", "trials": "2"}
+SMALL_RUN_NOISE = {"excite": "1e-20"}
 
 
 @pytest.mark.parametrize("command", [
@@ -157,6 +159,8 @@ def test_provenance_replays_the_run_byte_for_byte(tmp_path, capsys, command):
     sections = preset_sections()
     sections["scenario"].update(
         SMALL_RUN, name="calibrate" if name == "spectrum" else "spectrum")
+    if name in SMALL_RUN_NOISE:
+        sections["scenario"]["noise_sigma"] = SMALL_RUN_NOISE[name]
     out = tmp_path / "out"
     assert main([command, "--config", write_ini(tmp_path / "f.ini", sections),
                  "--out", str(out), "--seed", "7", "--quiet"]) == EXIT_OK
@@ -667,6 +671,47 @@ def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scenario", [
+    {"noise_sigma": "0.01"},
+    {"noise_sigma": "0.01", "ramp_efolds": "0.5", "pulse_efolds": "8"},
+    {"noise_sigma": "0.01", "points": "7", "seed": "3"},
+], ids=["plain", "ramped", "7-points-seed-3"])
+def test_excite_refuses_noise_above_every_readout(tmp_path, capsys,
+                                                 monkeypatch, scenario):
+    # the preset's readouts peak at 4.58e-19 (3.77e-19 ramped), so absolute
+    # noise of 0.01 left the dip fit only rectified noise: it exited 0 with
+    # a width of noise, or, on 7 points at seed 3, spent its whole budget
+    import nobleline.experiments as experiments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the fit ran on rectified noise")
+
+    monkeypatch.setattr(experiments, "fit_inverted_lorentzian", unreachable)
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    out = tmp_path / "out"
+    assert main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)]) == EXIT_VALIDITY
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: validity:")
+    assert err.count("\n") == 1
+    assert "noise_sigma = 0.01" in err and "rectified noise" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_excite_fits_noise_below_its_readouts(tmp_path, capsys):
+    # noise of a few percent of the readouts still finds the line, within
+    # its ~14 % broadening by 3-e-fold pulses
+    sections = preset_sections()
+    sections["scenario"].update(noise_sigma="1e-20")
+    out = tmp_path / "out"
+    assert main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    fit = json.loads((out / "excite_fit.json").read_text())
+    assert fit["extras"]["fitted_half_width"] == pytest.approx(
+        fit["extras"]["line_half_width"], rel=0.2)
+
+
 @pytest.mark.parametrize("command, scenario", [
     ("spectrum", {"span_halfwidths": "1e9"}),
     ("excite", {"points": "5", "span_halfwidths": "1e6"}),
@@ -723,7 +768,7 @@ def _small_scenario(draw):
     """[scenario] knobs of a small run, as INI strings."""
     scenario = {
         "seed": draw(st.integers(0, 2**32)),
-        "noise_sigma": draw(st.sampled_from([0.0, 0.01])),
+        "noise_sigma": draw(st.sampled_from([0.0, 1e-20, 0.01])),
         "points": draw(st.integers(5, 11)),
         "span_halfwidths": draw(st.floats(0.5, 6.0)),
         "observe_efolds": draw(st.floats(0.05, 0.5)),

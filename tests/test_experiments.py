@@ -237,6 +237,22 @@ def test_scan_result_write_cells_are_python_reprs(tmp_path):
                            "amplitude": 1 / 3, "t": 1e-300}
 
 
+@pytest.mark.parametrize("lengths", [(4097, 4097), (4096, 4097), (4097, 4096),
+                                     (0, 1)])
+def test_scan_result_rows_cross_blocks_and_refuse_unequal_columns(lengths):
+    # rows are converted 4,096 at a time: a table one row past a block
+    # still comes out whole, and a column one row short still raises
+    # wherever the short one stands
+    table = {"a": np.arange(lengths[0]) / 3, "b": list(range(lengths[1]))}
+    res = ScanResult(name="demo", table=table, fits={}, extras={},
+                     provenance={})
+    if lengths[0] != lengths[1]:
+        with pytest.raises(ValueError):
+            res.rows
+        return
+    assert res.rows == [{"a": i / 3, "b": i} for i in range(lengths[0])]
+
+
 def test_reruns_are_byte_identical(preset_bundle, tmp_path):
     bundle = with_scenario(preset_bundle, noise_sigma=0.005, seed=42)
     (tmp_path / "a").mkdir()

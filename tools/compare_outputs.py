@@ -9,10 +9,10 @@ from its own packaged preset with a few [scenario] overrides:
 
 - spectrum, closed-form and demodulated, noise_sigma = 0.01, and
   demodulated without noise;
-- excite, plain, with ramp_efolds = 0.5, with noise_sigma = 0.01
-  (rectified noisy amplitudes), and ramped with pulse_efolds = 8 and
-  noise_sigma = 0.01 (a pulse length of its own at every point, under
-  noise);
+- excite, plain, with ramp_efolds = 0.5, with noise_sigma = 1e-20 (noise
+  a few percent of the preset's 4.6e-19 peak readout; 0.01 is refused),
+  and ramped with pulse_efolds = 8 and noise_sigma = 1e-20 (a pulse length
+  of its own at every point, under noise);
 - sweep-field and transient, each with and without noise_sigma = 0.05;
 - sweep-field on three fields with [optics] removed (a nan column);
 - transient at [magnetics] field = 2.0 mG, where |omega_a - omega_b| is
@@ -27,7 +27,10 @@ on the packaged preset, and of `derive-params` on the preset with [optics]
 removed (no line and no optics block). The tool prints one
 `DIFF <case>/<file>` or `DIFF stdout/<case>` line for each output that
 differs or is missing on one side, and one `FAIL <side> <case>` line for
-each run that exits non-zero. It exits 1 if there was any, else 0. Both
+each run that exits non-zero. It exits 1 if there was any, else 0. Each
+CLI child is reaped with wait4, and one `rss <case> <parent MB> <change
+MB>` line per case and per stdout case gives each side's peak resident set
+(over both seeds of a case), so a memory change is measured per command. Both
 sides together take about two minutes on a 2-vCPU x86-64 VM, most of it in
 the sweep-field and calibrate runs.
 """
@@ -53,10 +56,10 @@ CASES = {
     "spectrum_demodulated_clean": ("spectrum", {"method": "demodulated"}),
     "excite": ("excite", {}),
     "excite_ramped": ("excite", {"ramp_efolds": "0.5"}),
-    "excite_noisy": ("excite", {"noise_sigma": "0.01"}),
+    "excite_noisy": ("excite", {"noise_sigma": "1e-20"}),
     "excite_ramped_noisy": ("excite", {"ramp_efolds": "0.5",
                                        "pulse_efolds": "8",
-                                       "noise_sigma": "0.01"}),
+                                       "noise_sigma": "1e-20"}),
     "sweep_field": ("sweep-field", {}),
     "sweep_field_noisy": ("sweep-field", {"noise_sigma": "0.05"}),
     "sweep_field_no_optics": ("sweep-field", {"fields": "4.0 5.0 6.1"}),
@@ -103,23 +106,24 @@ def write_config(src: Path, overrides: dict, path: Path,
         parser.write(fh)
 
 
-def run_side(src: Path, work: Path, case: str, seed: int) -> tuple[Path, str]:
-    """Run one case on one side; return its output directory and, if the
-    run failed, its stderr."""
+def run_side(src: Path, work: Path, case: str, seed: int
+             ) -> tuple[Path, str, int]:
+    """Run one case on one side; return its output directory, its stderr
+    if the run failed, and its peak RSS in KiB."""
     command, overrides = CASES[case]
     out = work / f"{case}_seed{seed}"
     out.mkdir(parents=True)
     config = out.with_suffix(".ini")
     write_config(src, overrides, config, DROPPED_SECTIONS.get(case, ()),
                  SECTION_OVERRIDES.get(case))
-    done = run_cli(src, command, "--config", str(config), "--out", str(out),
-                   "--seed", str(seed), "--quiet")
-    return out, failure(done)
+    done, rss = run_cli(src, command, "--config", str(config), "--out",
+                        str(out), "--seed", str(seed), "--quiet")
+    return out, failure(done), rss
 
 
 def run_stdout_case(src: Path, work: Path, case: str
-                    ) -> subprocess.CompletedProcess:
-    """Run one stdout case on one side."""
+                    ) -> tuple[subprocess.CompletedProcess, int]:
+    """Run one stdout case on one side, with its peak RSS in KiB."""
     command = STDOUT_CASES[case]
     if case not in DROPPED_SECTIONS:
         return run_cli(src, command)
@@ -129,11 +133,29 @@ def run_stdout_case(src: Path, work: Path, case: str
     return run_cli(src, command, "--config", str(config))
 
 
-def run_cli(src: Path, *argv: str) -> subprocess.CompletedProcess:
-    """One CLI run in a fresh interpreter with PYTHONPATH set to src."""
+def run_cli(src: Path, *argv: str
+            ) -> tuple[subprocess.CompletedProcess, int]:
+    """One CLI run in a fresh interpreter with PYTHONPATH set to src, and
+    its own peak RSS in KiB: the child is reaped with wait4, its output
+    having gone to temporary files."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "nobleline.cli", *argv],
-                          env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-m", "nobleline.cli", *argv]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        streams = []
+        for fh in (out, err):
+            fh.seek(0)
+            streams.append(fh.read().decode())
+    return (subprocess.CompletedProcess(argv, proc.returncode, *streams),
+            usage.ru_maxrss)
+
+
+def print_rss(case: str, peaks: dict) -> None:
+    """One `rss <case> <parent MB> <change MB>` line from KiB peaks."""
+    print(f"rss {case} " + " ".join(f"{kib / 1024:.1f}"
+                                    for kib in peaks.values()))
 
 
 def failure(done: subprocess.CompletedProcess) -> str:
@@ -157,11 +179,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         for case, (command, _) in CASES.items():
             prefix = command.replace("-", "_")
+            peaks = dict.fromkeys(sides, 0)
             for seed in SEEDS:
                 outs = {}
                 for name, src in sides.items():
-                    outs[name], err = run_side(src, Path(tmp) / name, case,
-                                               seed)
+                    outs[name], err, rss = run_side(src, Path(tmp) / name,
+                                                    case, seed)
+                    peaks[name] = max(peaks[name], rss)
                     if err:
                         problems += 1
                         print(f"FAIL {name} {case} seed {seed}: "
@@ -175,10 +199,12 @@ def main(argv=None) -> int:
                             and a.read_bytes() == b.read_bytes()):
                         problems += 1
                         print(f"DIFF {rel}")
+            print_rss(case, peaks)
         for case in STDOUT_CASES:
-            stdouts = set()
+            stdouts, peaks = set(), {}
             for name, src in sides.items():
-                done = run_stdout_case(src, Path(tmp) / name, case)
+                done, peaks[name] = run_stdout_case(src, Path(tmp) / name,
+                                                    case)
                 stdouts.add(done.stdout)
                 if err := failure(done):
                     problems += 1
@@ -186,6 +212,7 @@ def main(argv=None) -> int:
             if len(stdouts) > 1:
                 problems += 1
                 print(f"DIFF stdout/{case}")
+            print_rss(case, peaks)
     print(f"compared {compared} files and {len(STDOUT_CASES)} stdouts: "
           f"{'no differences' if not problems else f'{problems} problems'}")
     return 1 if problems else 0
