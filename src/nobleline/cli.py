@@ -12,10 +12,11 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+# modules, not names: each call looks its function up, so a command that
+# calls neither (check-config) never loads them or numpy
+from . import dynamics, experiments
 from .config import (OPTICS_COUPLINGS, SCENARIO_NAMES, load_config,
                      preset_path, scenario_with)
-from .dynamics import slow_mode
-from .experiments import run_scenario, write_json
 from .model import (ConfigError, FitConvergenceError, NoblelineError,
                     ValidityError)
 from .spectrum import line_shape
@@ -96,7 +97,13 @@ def _run_scenario_command(args, scenario_name: str) -> int:
     try:
         os.write(lock_fd, str(os.getpid()).encode())
         os.close(lock_fd)
-        result = run_scenario(bundle)
+        try:
+            result = experiments.run_scenario(bundle)
+        except MemoryError:
+            n, knobs = experiments.largest_record(bundle)
+            raise ConfigError(f"out of memory; the run's largest record "
+                              f"holds up to {n:.4g} samples; lower "
+                              f"{knobs}") from None
         try:
             paths = result.write(args.out, prefix)
         except OSError as exc:
@@ -136,12 +143,12 @@ def _derive_params(args) -> int:
     bundle = _load(args)
     system, optics = bundle.system, bundle.optics
     out = {**asdict(system), "exchange": system.exchange}
-    decay, freq = slow_mode(system)
+    decay, freq = dynamics.slow_mode(system)
     out["slow_mode"] = {"decay": decay, "frequency": freq}
     if optics is not None:
         out["line"] = asdict(line_shape(system, optics))
         out["optics"] = {k: getattr(optics, k) for k in OPTICS_COUPLINGS}
-    write_json(out, sys.stdout)
+    experiments.write_json(out, sys.stdout)
     return EXIT_OK
 
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from importlib import resources
 from pathlib import PurePath
 
-from .model import (PLANCK, SPEED_OF_LIGHT, ConfigError, GasCell,
-                    MagneticConfig, OpticalParams, SystemParams, build_system,
-                    derive_optics)
-from .signals import MIN_SAMPLES_PER_CYCLE
+from .model import (MIN_SAMPLES_PER_CYCLE, PLANCK, SPEED_OF_LIGHT,
+                    ConfigError, GasCell, MagneticConfig, OpticalParams,
+                    SystemParams, build_system, derive_optics)
 
 #: default bias-field grid for sweeps, mG (log-spaced, includes both
 #: calibration anchor fields)

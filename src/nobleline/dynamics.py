@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, SystemParams, ValidityError
-from .signals import MIN_SAMPLES_PER_CYCLE, fit_decaying_sinusoid
+from .model import MIN_SAMPLES_PER_CYCLE, TWO_PI, SystemParams, ValidityError
+from .signals import fit_decaying_sinusoid
 from .spectrum import hybrid_linewidth, line_center
 
 

@@ -29,10 +29,11 @@ from . import __version__
 from .config import Bundle
 from .dynamics import (check_width_gap, excite_and_readout,
                        magnetic_pulse_transient, transient_samples)
-from .model import ConfigError, TWO_PI, ValidityError, derive_larmor
-from .signals import (MIN_DEMOD_PERIODS, MIN_SAMPLES_PER_CYCLE,
-                      fit_decaying_sinusoid, fit_inverted_lorentzian,
-                      fit_linear, heterodyne_extract)
+from .model import (MIN_SAMPLES_PER_CYCLE, ConfigError, TWO_PI,
+                    ValidityError, derive_larmor)
+from .signals import (MIN_DEMOD_PERIODS, fit_decaying_sinusoid,
+                      fit_inverted_lorentzian, fit_linear,
+                      heterodyne_extract)
 from .spectrum import (evaluate_spectrum, hybrid_linewidth, line_center,
                        line_shape, phase_shift)
 
@@ -179,16 +180,44 @@ def _least_demod_periods(lowest: float, center: float, fs: float) -> float:
     return _least_knob((least_n - 0.5) / fs * center, spans)
 
 
-def _check_record_sizes(scenario, sizes, knobs=("observe_efolds",
-                                                "samples_per_cycle")) -> None:
-    """Refuse, before building any, records above MAX_RECORD_SAMPLES; the
-    sizes are floats, compared before any int() (inf where a knob makes
-    them overflow), and the knobs are the scenario keys that set them."""
-    n = max(sizes)
+def largest_record(bundle: Bundle) -> tuple[float, str]:
+    """Samples in the largest record the bundle's scenario builds, as a
+    float to compare before any int() (inf where a knob makes it
+    overflow), and the scenario keys that set it, with their values, as
+    "key (value) or ...". A run that samples no record (excite, a
+    closed-form spectrum) is sized by its scan grid."""
+    sc = bundle.scenario
+    knobs = ("observe_efolds", "samples_per_cycle")
+    if sc.name == "transient":
+        sizes = [transient_samples(bundle.system, sc.observe_efolds,
+                                   sc.samples_per_cycle)]
+    elif sc.name == "sweep_field":
+        sizes = [transient_samples(s, sc.observe_efolds, sc.samples_per_cycle)
+                 for s in _field_systems(bundle)]
+    elif sc.name == "calibrate":
+        _, _, rates, duration = _calibration_grid(bundle)
+        sizes = [float(np.floor(duration * fs)) for fs in rates]
+        knobs = ("samples_per_cycle",)
+    elif sc.name == "spectrum" and sc.method == "demodulated":
+        center = abs(line_center(bundle.system))   # line_shape's center
+        fs = sc.samples_per_cycle * center
+        sizes = [float(np.round(sc.demod_periods / center * fs))]
+        knobs = ("demod_periods", "samples_per_cycle")
+    else:   # at most: wings that meet core points merge
+        sizes = [float(sc.points + 2 * len(sc.baseline_halfwidths))]
+        knobs = ("points",)
+    return max(sizes), " or ".join(f"{k} ({getattr(sc, k):g})"
+                                   for k in knobs)
+
+
+def _check_record_sizes(bundle: Bundle) -> float:
+    """Refuse, before building any, records above MAX_RECORD_SAMPLES;
+    returns the largest record's size."""
+    n, knobs = largest_record(bundle)
     if n > MAX_RECORD_SAMPLES:
-        lower = " or ".join(f"{k} ({getattr(scenario, k):g})" for k in knobs)
         raise ConfigError(f"a record of {n:.4g} samples exceeds the cap of "
-                          f"{MAX_RECORD_SAMPLES}; lower {lower}")
+                          f"{MAX_RECORD_SAMPLES}; lower {knobs}")
+    return n
 
 
 def _detuning_grid(scenario, gamma: float) -> np.ndarray:
@@ -244,9 +273,7 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{least:.6g}")
-        n = float(np.round(sc.demod_periods / center * fs))
-        _check_record_sizes(sc, [n], ("demod_periods", "samples_per_cycle"))
-        n = int(n)
+        n = int(_check_record_sizes(bundle))
         lowest = float(np.min(np.abs(omegas)))
         # the span heterodyne_extract tests, in periods of the lowest frequency
         window = (n - 1) / fs * lowest
@@ -388,6 +415,16 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
 # field sweep
 
 
+def _field_systems(bundle: Bundle) -> list:
+    """The system at each of the scenario's bias fields."""
+    systems = []
+    for b_field in bundle.scenario.fields:
+        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
+        systems.append(replace(bundle.system, omega_a=omega_a,
+                               omega_b=omega_b))
+    return systems
+
+
 def run_field_sweep(bundle: Bundle) -> ScanResult:
     """Track the hybrid line across bias fields via free-precession fits.
 
@@ -400,13 +437,8 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         raise ConfigError("sweep_field scenario needs a [magnetics] section")
     sc = bundle.scenario
     rngs = _streams(sc.seed, len(sc.fields))
-    systems = []
-    for b_field in sc.fields:
-        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
-        systems.append(replace(bundle.system, omega_a=omega_a,
-                               omega_b=omega_b))
-    _check_record_sizes(sc, [transient_samples(
-        s, sc.observe_efolds, sc.samples_per_cycle) for s in systems])
+    systems = _field_systems(bundle)
+    _check_record_sizes(bundle)
 
     centers, widths, contrasts, freqs, decays = [], [], [], [], []
     for system, rng in zip(systems, rngs):
@@ -451,8 +483,7 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 def run_transient(bundle: Bundle) -> ScanResult:
     """One tilt-pulse free-precession record with its decaying-sinusoid fit."""
     sc = bundle.scenario
-    _check_record_sizes(sc, [transient_samples(
-        bundle.system, sc.observe_efolds, sc.samples_per_cycle)])
+    _check_record_sizes(bundle)
     res = magnetic_pulse_transient(
         bundle.system, tilt_amplitude=sc.tilt_amplitude,
         observe_efolds=sc.observe_efolds,
@@ -478,6 +509,18 @@ def run_transient(bundle: Bundle) -> ScanResult:
 # calibration
 
 
+def _calibration_grid(bundle: Bundle) -> tuple:
+    """(fields, alkali Larmor frequencies, sample rates, record duration)
+    of a calibration: up to five of the scenario's fields, spread across
+    it, each sampled over two alkali decay e-folds."""
+    sc = bundle.scenario
+    idx = np.linspace(0, len(sc.fields) - 1, 5).round().astype(int)
+    fields = [sc.fields[i] for i in sorted(set(int(i) for i in idx))]
+    omegas = [derive_larmor(bundle.magnetics, field=b)[0] for b in fields]
+    rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
+    return fields, omegas, rates, 2.0 / (TWO_PI * bundle.system.gamma_a)
+
+
 def run_calibration(bundle: Bundle) -> ScanResult:
     """Calibration of the bare-alkali gyromagnetic ratio and decay rate.
 
@@ -494,20 +537,13 @@ def run_calibration(bundle: Bundle) -> ScanResult:
     sc = bundle.scenario
     system = bundle.system
     noise = sc.noise_sigma if sc.noise_sigma > 0 else 0.05
-    n_fields = 5
-    idx = np.linspace(0, len(sc.fields) - 1, n_fields).round().astype(int)
-    cal_fields = [sc.fields[i] for i in sorted(set(int(i) for i in idx))]
-
     true_g = bundle.magnetics.alkali_gyromagnetic
     true_gamma = system.gamma_a
     if true_gamma == 0.0:
         raise ConfigError("calibrate needs gamma_a > 0: its records span two "
                           "alkali decay e-folds")
-    duration = 2.0 / (TWO_PI * true_gamma)
-    omegas = [derive_larmor(bundle.magnetics, field=b)[0] for b in cal_fields]
-    rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
-    _check_record_sizes(sc, [float(np.floor(duration * fs)) for fs in rates],
-                        ("samples_per_cycle",))
+    cal_fields, omegas, rates, duration = _calibration_grid(bundle)
+    _check_record_sizes(bundle)
     rngs = _streams(sc.seed, sc.trials)
     # each field's grid and noiseless record serve every trial
     clean_records = []

@@ -17,11 +17,13 @@ temperatures in K, pressures in Torr, times in seconds.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
 TWO_PI = 2.0 * math.pi
+
+#: minimum sample_rate / omega of every sampled record (Nyquist with margin)
+MIN_SAMPLES_PER_CYCLE = 4.0
 
 # SI constants. The first four are exact by definition of the SI units since
 # 2019; the electron radius is the CODATA 2022 value.
@@ -226,6 +228,8 @@ class SystemParams:
         return self.tilt_coeff * self.alkali_polarization
 
     def params_hash(self) -> str:
+        import hashlib      # here, as only a run's provenance needs it
+
         items = tuple((f.name, getattr(self, f.name)) for f in fields(self))
         return hashlib.md5(repr(items).encode()).hexdigest()[:12]
 

@@ -21,9 +21,6 @@ from .model import TWO_PI, FitConvergenceError, ValidityError
 
 CONFIDENCE = 0.95
 
-#: minimum sample_rate / omega of every sampled record (Nyquist with margin)
-MIN_SAMPLES_PER_CYCLE = 4.0
-
 #: minimum beat periods a demodulation window must span
 MIN_DEMOD_PERIODS = 3.0
 
@@ -299,22 +296,24 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
 
 
 def _check_squarable(values: np.ndarray, what: str, fit: str,
-                     low: bool = True) -> None:
+                     low: bool = True) -> float:
     """Refuse an array a fitter squares when float64 cannot hold the
     squares: a peak above sqrt(max / n) lets a sum of n squares overflow,
     and (with `low`) a nonzero |value| below sqrt(tiny) squares into the
-    subnormals or to zero. inf and nan count as too large."""
+    subnormals or to zero. inf and nan count as too large. Returns the
+    peak |value|."""
     a = np.abs(values)
     peak = float(a.max())
     if not peak <= math.sqrt(np.finfo(float).max / a.size):
         raise ValidityError(f"{what} value {peak:g} is too large to square "
                             f"in a {fit} fit")
     if not low:
-        return
+        return peak
     least = float(np.min(a, where=a > 0.0, initial=math.inf))
     if least < math.sqrt(np.finfo(float).tiny):
         raise ValidityError(f"{what} value {least:g} is too small to square "
                             f"in a {fit} fit")
+    return peak
 
 
 class _Reported:
@@ -525,7 +524,13 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     y = np.asarray(values, dtype=float)
     if t.size != y.size or t.size < 16:
         raise ValidityError("need >= 16 samples to fit a decaying sinusoid")
-    _check_squarable(y, "record", "decaying-sinusoid")
+    peak = _check_squarable(y, "record", "decaying-sinusoid")
+    # the fit's stop tolerances are absolute, so a record far from unit
+    # scale is fit as y * 2**-k, exactly, and its amplitude, offset and
+    # residual are scaled back by 2**k
+    k = 0 if 2.0**-8 <= peak <= 2.0**8 else math.frexp(peak)[1]
+    if k:
+        y = np.ldexp(y, -k)
     t0 = t[0]
     # t - (+0.0) is t bit for bit, so a grid that starts at +0.0 is not
     # copied; -0.0 is subtracted, as it turns -0.0 samples into +0.0
@@ -604,14 +609,17 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     else:
         se_amp, se_phi = math.inf, math.pi
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    amp, se_amp = math.ldexp(amp, k), math.ldexp(se_amp, k)
 
     return SinusoidFit(
-        amplitude=amp, decay_rate=g, frequency=f, phase=phase, offset=float(c),
+        amplitude=amp, decay_rate=g, frequency=f, phase=phase,
+        offset=math.ldexp(c, k),
         amplitude_ci=_ci(amp, se_amp, dof),
         decay_rate_ci=_ci(g, float(se[2]), dof),
         frequency_ci=_ci(f, float(se[3]), dof),
         phase_ci=_ci(phase, se_phi, dof),
-        residual_rms=float(np.sqrt(np.mean(r**2))), n_points=t.size,
+        residual_rms=math.ldexp(float(np.sqrt(np.mean(r**2))), k),
+        n_points=t.size,
         ambiguous_decay=bool(TWO_PI * g * span < 0.5), nfev=nfev, njev=njev)
 
 

@@ -95,6 +95,66 @@ def test_import_and_config_commands_load_no_scipy(tmp_path, command,
         assert (tmp_path / "out" / f"{name}_fit.json").exists()
 
 
+def test_import_and_light_commands_load_no_numpy():
+    # config, model and spectrum are numpy-free; signals, dynamics and
+    # experiments are registered in sys.modules but load on first use
+    script = (
+        "import contextlib, io, sys, nobleline\n"
+        "nobleline.load_config(nobleline.preset_path())\n"
+        "import nobleline.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert nobleline.cli.main(['check-config']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.startswith('nobleline.')))\n")
+    loaded, modules = _fresh_interpreter_stdout(script).splitlines()
+    assert loaded == "False"
+    # bench/tracer.py wraps the functions of these modules in place
+    assert modules.split() == [f"nobleline.{name}" for name in (
+        "cli", "config", "dynamics", "experiments", "model", "signals",
+        "spectrum")]
+
+
+# home module -> the names the package exports from it
+EXPORTS = {
+    "config": ("Bundle", "ScenarioConfig", "config_from_mapping",
+               "load_config", "preset_path", "scenario_with"),
+    "dynamics": ("Segment", "SidebandResponse", "SpinTrajectory",
+                 "TransientResult", "evolve_exact", "exact_linear_response",
+                 "excite_and_readout", "magnetic_pulse_transient",
+                 "slow_mode", "tilt_state"),
+    "experiments": ("ScanResult", "run_scenario"),
+    "model": ("ConfigError", "Detunings", "FitConvergenceError", "GasCell",
+              "MagneticConfig", "NoblelineError", "OpticalParams",
+              "SystemParams", "TWO_PI", "ValidityError", "build_system",
+              "compute_detunings", "derive_exchange_rates", "derive_larmor",
+              "derive_optics", "ideal_gas_density"),
+    "signals": ("LineFit", "LinearFit", "SinusoidFit",
+                "fit_decaying_sinusoid", "fit_inverted_lorentzian",
+                "fit_linear", "heterodyne_extract"),
+    "spectrum": ("LineShape", "S2Response", "alkali_coherence",
+                 "evaluate_spectrum", "hybrid_linewidth", "line_center",
+                 "line_shape", "noble_coherence", "phase_shift",
+                 "s2_response", "transmitted_ratio"),
+}
+
+
+def test_package_exports_each_name_from_its_home_module():
+    assert nobleline.__all__ == sorted(
+        [*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
+    for home, names in EXPORTS.items():
+        module = sys.modules[f"nobleline.{home}"]
+        assert getattr(nobleline, home) is module
+        for name in names:
+            assert getattr(nobleline, name) is getattr(module, name), name
+    namespace = {}
+    exec("from nobleline import *", namespace)
+    assert {k: v for k, v in namespace.items() if k != "__builtins__"} == {
+        name: getattr(nobleline, name) for name in nobleline.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nobleline.no_such_name
+
+
 def test_check_config_on_preset(capsys):
     assert main(["check-config"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -300,18 +360,40 @@ def test_validity_error_exits_validity(tmp_path, capsys):
 
 
 def test_fit_error_exits_fit(tmp_path, capsys, monkeypatch):
-    import nobleline.cli as cli
+    import nobleline.experiments as experiments
 
     def boom(bundle):
         raise FitConvergenceError("synthetic non-convergence")
 
-    monkeypatch.setattr(cli, "run_scenario", boom)
+    monkeypatch.setattr(experiments, "run_scenario", boom)
     cfg = write_ini(tmp_path / "f.ini", FAST_SYSTEM)
     code = main(["transient", "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_FIT
     assert capsys.readouterr().err.startswith("nobleline: error: fit:")
     # the lock must not survive the failure
     assert not (tmp_path / "transient.lock").exists()
+
+
+@pytest.mark.parametrize("command, knobs", [
+    ("transient", ("observe_efolds (2)", "samples_per_cycle (32)")),
+    ("calibrate", ("samples_per_cycle (32)",)),
+    ("excite", ("points (41)",)),
+])
+def test_out_of_memory_exits_config_in_one_line(tmp_path, capsys,
+                                                monkeypatch, command, knobs):
+    import nobleline.experiments as experiments
+
+    def exhausted(bundle):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "run_scenario", exhausted)
+    code = main([command, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config: out of memory;")
+    assert err.count("\n") == 1
+    assert all(knob in err for knob in knobs), err
+    assert not (tmp_path / f"{command}.lock").exists()
 
 
 def test_lockfile_blocks_concurrent_run(tmp_path, capsys):

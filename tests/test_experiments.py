@@ -138,6 +138,22 @@ def test_transient_runner(preset_bundle):
         preset_bundle.scenario.tilt_amplitude)
 
 
+@pytest.mark.parametrize("tilt", [1e-16, 1e-20])
+def test_transient_fit_does_not_depend_on_the_record_scale(preset_bundle,
+                                                           tilt):
+    # the fit stops on absolute tolerances, so a tiny record used to stop
+    # early: +22 % off in decay at 1e-16, the initial guess at 1e-20
+    unit = run_transient(preset_bundle)
+    tiny = run_transient(with_scenario(preset_bundle, tilt_amplitude=tilt))
+    for key in ("fitted_decay", "fitted_frequency"):
+        assert tiny.extras[key] == pytest.approx(unit.extras[key], rel=1e-12)
+    amplitude = [r.fits["free_precession"]["parameters"][0]
+                 for r in (unit, tiny)]
+    assert amplitude[0]["parameter"] == "amplitude"
+    assert amplitude[1]["value"] == pytest.approx(
+        tilt * amplitude[0]["value"], rel=1e-12)
+
+
 def test_calibration_noiseless_recovery_and_coverage(preset_bundle):
     bundle = with_scenario(preset_bundle, trials=12, seed=3,
                            samples_per_cycle=16.0)
