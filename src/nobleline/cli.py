@@ -97,13 +97,7 @@ def _run_scenario_command(args, scenario_name: str) -> int:
     try:
         os.write(lock_fd, str(os.getpid()).encode())
         os.close(lock_fd)
-        try:
-            result = experiments.run_scenario(bundle)
-        except MemoryError:
-            n, knobs = experiments.largest_record(bundle)
-            raise ConfigError(f"out of memory; the run's largest record "
-                              f"holds up to {n:.4g} samples; lower "
-                              f"{knobs}") from None
+        result = experiments.run_scenario(bundle)
         try:
             paths = result.write(args.out, prefix)
         except OSError as exc:

@@ -150,10 +150,13 @@ MAX_WIDTH_GAP = 0.01
 
 def width_gap(system: SystemParams) -> float:
     """|gamma - gamma_slow| / gamma_slow of the closed-form half-width at
-    line_center and the exact slow-mode decay, which must be positive: at
-    most about (J/|omega_a - omega_b|)^2, of order one where gamma_b >
-    gamma_a."""
+    line_center and the exact slow-mode decay, which must be positive (a
+    ValidityError otherwise): at most about (J/|omega_a - omega_b|)^2, of
+    order one where gamma_b > gamma_a."""
     gamma_slow, _ = slow_mode(system)
+    if not gamma_slow > 0:
+        raise ValidityError(f"undamped slow mode: its exact decay is "
+                            f"{gamma_slow:.4g} Hz, which no width matches")
     gamma = hybrid_linewidth(system, line_center(system) - system.omega_a)
     return abs(gamma - gamma_slow) / gamma_slow
 

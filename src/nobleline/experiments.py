@@ -21,6 +21,7 @@ import json
 import math
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -180,44 +181,23 @@ def _least_demod_periods(lowest: float, center: float, fs: float) -> float:
     return _least_knob((least_n - 0.5) / fs * center, spans)
 
 
-def largest_record(bundle: Bundle) -> tuple[float, str]:
-    """Samples in the largest record the bundle's scenario builds, as a
-    float to compare before any int() (inf where a knob makes it
-    overflow), and the scenario keys that set it, with their values, as
-    "key (value) or ...". A run that samples no record (excite, a
-    closed-form spectrum) is sized by its scan grid."""
-    sc = bundle.scenario
-    knobs = ("observe_efolds", "samples_per_cycle")
-    if sc.name == "transient":
-        sizes = [transient_samples(bundle.system, sc.observe_efolds,
-                                   sc.samples_per_cycle)]
-    elif sc.name == "sweep_field":
-        sizes = [transient_samples(s, sc.observe_efolds, sc.samples_per_cycle)
-                 for s in _field_systems(bundle)]
-    elif sc.name == "calibrate":
-        _, _, rates, duration = _calibration_grid(bundle)
-        sizes = [float(np.floor(duration * fs)) for fs in rates]
-        knobs = ("samples_per_cycle",)
-    elif sc.name == "spectrum" and sc.method == "demodulated":
-        center = abs(line_center(bundle.system))   # line_shape's center
-        fs = sc.samples_per_cycle * center
-        sizes = [float(np.round(sc.demod_periods / center * fs))]
-        knobs = ("demod_periods", "samples_per_cycle")
-    else:   # at most: wings that meet core points merge
-        sizes = [float(sc.points + 2 * len(sc.baseline_halfwidths))]
-        knobs = ("points",)
-    return max(sizes), " or ".join(f"{k} ({getattr(sc, k):g})"
-                                   for k in knobs)
-
-
-def _check_record_sizes(bundle: Bundle) -> float:
-    """Refuse, before building any, records above MAX_RECORD_SAMPLES;
-    returns the largest record's size."""
-    n, knobs = largest_record(bundle)
+@contextmanager
+def _record_budget(scenario, sizes, knobs):
+    """Hold a run's records to MAX_RECORD_SAMPLES: refuse, before building
+    any, one whose size in `sizes` (floats to compare before any int(), inf
+    where a knob makes one overflow) is above the cap, and turn running out
+    of memory inside the block into one ConfigError. Both messages name the
+    scenario keys `knobs` that set the sizes, with their values."""
+    n = max(sizes)
+    lower = " or ".join(f"{k} ({getattr(scenario, k):g})" for k in knobs)
     if n > MAX_RECORD_SAMPLES:
         raise ConfigError(f"a record of {n:.4g} samples exceeds the cap of "
-                          f"{MAX_RECORD_SAMPLES}; lower {knobs}")
-    return n
+                          f"{MAX_RECORD_SAMPLES}; lower {lower}")
+    try:
+        yield
+    except MemoryError:
+        raise ConfigError(f"out of memory; the run's largest record holds up "
+                          f"to {n:.4g} samples; lower {lower}") from None
 
 
 def _detuning_grid(scenario, gamma: float) -> np.ndarray:
@@ -258,10 +238,8 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
     system = bundle.system
     line = line_shape(system, bundle.optics)
     check_width_gap(system)
-    deltas = _detuning_grid(sc, line.half_width)
-    omegas = line.center + deltas
-    rngs = _streams(sc.seed, len(omegas))
-
+    omegas = line.center + _detuning_grid(sc, line.half_width)
+    sizes, knobs = [len(omegas)], ("points",)
     if sc.method == "demodulated":
         center = abs(line.center)
         fs = sc.samples_per_cycle * center
@@ -273,60 +251,67 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{least:.6g}")
-        n = int(_check_record_sizes(bundle))
-        lowest = float(np.min(np.abs(omegas)))
-        # the span heterodyne_extract tests, in periods of the lowest frequency
-        window = (n - 1) / fs * lowest
-        if not window >= MIN_DEMOD_PERIODS:
-            hint = "no value does: the scan reaches zero frequency"
-            if lowest > 0:
-                least = _least_demod_periods(lowest, center, fs)
-                hint = f"use at least {least:.6g}"
-            raise ConfigError(
-                f"demod_periods = {sc.demod_periods:g} gives a demodulation "
-                f"window of {window:.3g} periods at the scan's lowest "
-                f"frequency {lowest:.6g}, below {MIN_DEMOD_PERIODS:g}; {hint}")
-        t = np.arange(n) / fs
-    responses = evaluate_spectrum(omegas, system, bundle.optics,
-                                  s2_in=sc.signal_amplitude)
-    table = _table(SPECTRUM_COLUMNS, omegas,
-                   [r.detunings.delta_hybrid for r in responses],
-                   [r.transmission for r in responses],
-                   [r.phase for r in responses],
-                   [r.f_tilde.real for r in responses],
-                   [r.f_tilde.imag for r in responses],
-                   [r.r_tilde.real for r in responses],
-                   [r.r_tilde.imag for r in responses])
-    if sc.method == "demodulated":
-        lockins = []
-        for omega, resp, rng in zip(omegas.tolist(), responses, rngs):
-            s2_t = np.real(resp.s2_out * np.exp(-1j * TWO_PI * omega * t))
-            if sc.noise_sigma:
-                s2_t = s2_t + rng.normal(0.0, sc.noise_sigma, size=t.shape)
-            lockins.append(heterodyne_extract(t, s2_t, omega))
-        # math.hypot, not abs(z): the two round differently in the last bit
-        ratios = [math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)
-                  for z in lockins]
-        # a float's ** raises where its square overflows; refuse it first
-        # (nan and inf count as too large)
-        squarable = math.sqrt(np.finfo(float).max)
-        unsquarable = [q for q in ratios if not q <= squarable]
-        if unsquarable:
-            raise ValidityError(
-                f"lock-in amplitude ratio {unsquarable[0]:g} is too large to "
-                f"square into a transmission (noise_sigma = "
-                f"{sc.noise_sigma:g})")
-        table["transmission"] = [q ** 2 for q in ratios]
-        table["phase"] = [math.atan2(-z.imag, z.real) for z in lockins]
-    elif sc.noise_sigma > 0:
-        table["transmission"] = [
-            tr + rng.normal(0.0, sc.noise_sigma)
-            for tr, rng in zip(table["transmission"], rngs)]
+        sizes = [float(np.round(sc.demod_periods / center * fs))]
+        knobs = ("demod_periods", "samples_per_cycle")
 
-    dip = fit_inverted_lorentzian(omegas, table["transmission"])
-    model_phase = np.array([phase_shift(line, d) for d in table["delta"]])
-    phase_rms = float(np.sqrt(np.mean((np.array(table["phase"])
-                                       - model_phase) ** 2)))
+    with _record_budget(sc, sizes, knobs):
+        rngs = _streams(sc.seed, len(omegas))
+        if sc.method == "demodulated":
+            n = int(sizes[0])
+            lowest = float(np.min(np.abs(omegas)))
+            # heterodyne_extract's span, in periods of the lowest frequency
+            window = (n - 1) / fs * lowest
+            if not window >= MIN_DEMOD_PERIODS:
+                hint = "no value does: the scan reaches zero frequency"
+                if lowest > 0:
+                    least = _least_demod_periods(lowest, center, fs)
+                    hint = f"use at least {least:.6g}"
+                raise ConfigError(
+                    f"demod_periods = {sc.demod_periods:g} gives a "
+                    f"demodulation window of {window:.3g} periods at the "
+                    f"scan's lowest frequency {lowest:.6g}, below "
+                    f"{MIN_DEMOD_PERIODS:g}; {hint}")
+            t = np.arange(n) / fs
+        responses = evaluate_spectrum(omegas, system, bundle.optics,
+                                      s2_in=sc.signal_amplitude)
+        table = _table(SPECTRUM_COLUMNS, omegas,
+                       [r.detunings.delta_hybrid for r in responses],
+                       [r.transmission for r in responses],
+                       [r.phase for r in responses],
+                       [r.f_tilde.real for r in responses],
+                       [r.f_tilde.imag for r in responses],
+                       [r.r_tilde.real for r in responses],
+                       [r.r_tilde.imag for r in responses])
+        if sc.method == "demodulated":
+            lockins = []
+            for omega, resp, rng in zip(omegas.tolist(), responses, rngs):
+                s2_t = np.real(resp.s2_out * np.exp(-1j * TWO_PI * omega * t))
+                if sc.noise_sigma:
+                    s2_t = s2_t + rng.normal(0.0, sc.noise_sigma, size=t.shape)
+                lockins.append(heterodyne_extract(t, s2_t, omega))
+            # math.hypot, not abs(z): they round differently in the last bit
+            ratios = [math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)
+                      for z in lockins]
+            # a float's ** raises where its square overflows; refuse it
+            # first (nan and inf count as too large)
+            squarable = math.sqrt(np.finfo(float).max)
+            unsquarable = [q for q in ratios if not q <= squarable]
+            if unsquarable:
+                raise ValidityError(
+                    f"lock-in amplitude ratio {unsquarable[0]:g} is too large "
+                    f"to square into a transmission (noise_sigma = "
+                    f"{sc.noise_sigma:g})")
+            table["transmission"] = [q ** 2 for q in ratios]
+            table["phase"] = [math.atan2(-z.imag, z.real) for z in lockins]
+        elif sc.noise_sigma > 0:
+            table["transmission"] = [
+                tr + rng.normal(0.0, sc.noise_sigma)
+                for tr, rng in zip(table["transmission"], rngs)]
+
+        dip = fit_inverted_lorentzian(omegas, table["transmission"])
+        model_phase = np.array([phase_shift(line, d) for d in table["delta"]])
+        phase_rms = float(np.sqrt(np.mean((np.array(table["phase"])
+                                           - model_phase) ** 2)))
 
     extras = {
         "line_center": line.center,
@@ -351,8 +336,9 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
     Each grid point runs one excite-wait cycle; the stored amplitude is |R|
     at its end, where a readout would start. The squared, max-normalized
     amplitudes form a Lorentzian peak, so the width fit runs on their
-    complement (a unit-depth dip). Short pulses Fourier-broaden the fitted width: at the default 3
-    e-folds expect ~14% excess; beyond 8 e-folds the bias is < 0.1%.
+    complement (a unit-depth dip). Short pulses Fourier-broaden the fitted
+    width: at the default 3 e-folds expect ~14% excess; beyond 8 e-folds
+    the bias is < 0.1%.
     """
     sc = bundle.scenario
     system = bundle.system
@@ -364,42 +350,45 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
                             "saturates")
     check_width_gap(system)
     omegas = center + _detuning_grid(sc, gamma)
-    rngs = _streams(sc.seed, len(omegas))
-    ramp = sc.ramp_efolds / (TWO_PI * gamma)
-    # each pulse is sized by the width at its own grid point, so both edges
-    # must fit inside the pulse of the widest point
-    widest = max(hybrid_linewidth(system, omega - system.omega_a)
-                 for omega in omegas.tolist())
-    if widest > 0 and 2.0 * ramp > sc.pulse_efolds / (TWO_PI * widest):
-        raise ConfigError(
-            f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into the "
-            f"shortest pulse of the scan; keep it at or below "
-            f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
-    # the wait decays every readout by about exp(-waited)
-    waited = sc.dead_efolds * gamma / system.gamma_a if system.gamma_a else 0.0
-    if math.exp(-waited) == 0.0:
-        raise ConfigError(f"dead_efolds = {sc.dead_efolds:g} waits "
-                          f"{waited:.3g} e-folds of the line, which decays "
-                          "every readout to zero")
+    with _record_budget(sc, [len(omegas)], ("points",)):
+        rngs = _streams(sc.seed, len(omegas))
+        ramp = sc.ramp_efolds / (TWO_PI * gamma)
+        # each pulse is sized by the width at its own grid point, so both
+        # edges must fit inside the pulse of the widest point
+        widest = max(hybrid_linewidth(system, omega - system.omega_a)
+                     for omega in omegas.tolist())
+        if widest > 0 and 2.0 * ramp > sc.pulse_efolds / (TWO_PI * widest):
+            raise ConfigError(
+                f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into "
+                f"the shortest pulse of the scan; keep it at or below "
+                f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
+        # the wait decays every readout by about exp(-waited)
+        waited = (sc.dead_efolds * gamma / system.gamma_a
+                  if system.gamma_a else 0.0)
+        if math.exp(-waited) == 0.0:
+            raise ConfigError(f"dead_efolds = {sc.dead_efolds:g} waits "
+                              f"{waited:.3g} e-folds of the line, which "
+                              "decays every readout to zero")
 
-    readouts = excite_and_readout(
-        system, omegas, s3_amplitude=sc.signal_amplitude,
-        pulse_efolds=sc.pulse_efolds, ramp=ramp, dead_efolds=sc.dead_efolds)
-    amps = [abs(r) for r in readouts]
-    if sc.noise_sigma > 0:
-        # noise at or above every readout leaves the fit rectified noise
-        if max(amps) <= sc.noise_sigma:
-            raise ValidityError(
-                f"noise_sigma = {sc.noise_sigma:g} is not below the largest "
-                f"noiseless readout {max(amps):.4g}; the fit would see only "
-                "rectified noise")
-        amps = [abs(amp + rng.normal(0.0, sc.noise_sigma))
-                for amp, rng in zip(amps, rngs)]
-    peak = max(amps) or 1.0
-    power = [(amp / peak) ** 2 for amp in amps]
+        readouts = excite_and_readout(
+            system, omegas, s3_amplitude=sc.signal_amplitude,
+            pulse_efolds=sc.pulse_efolds, ramp=ramp,
+            dead_efolds=sc.dead_efolds)
+        amps = [abs(r) for r in readouts]
+        if sc.noise_sigma > 0:
+            # noise at or above every readout leaves the fit rectified noise
+            if max(amps) <= sc.noise_sigma:
+                raise ValidityError(
+                    f"noise_sigma = {sc.noise_sigma:g} is not below the "
+                    f"largest noiseless readout {max(amps):.4g}; the fit "
+                    "would see only rectified noise")
+            amps = [abs(amp + rng.normal(0.0, sc.noise_sigma))
+                    for amp, rng in zip(amps, rngs)]
+        peak = max(amps) or 1.0
+        power = [(amp / peak) ** 2 for amp in amps]
 
-    dip = fit_inverted_lorentzian(omegas, [1.0 - p for p in power])
-    table = _table(EXCITE_COLUMNS, omegas, omegas - center, amps, power)
+        dip = fit_inverted_lorentzian(omegas, [1.0 - p for p in power])
+        table = _table(EXCITE_COLUMNS, omegas, omegas - center, amps, power)
     extras = {
         "line_center": center,
         "line_half_width": gamma,
@@ -415,16 +404,6 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
 # field sweep
 
 
-def _field_systems(bundle: Bundle) -> list:
-    """The system at each of the scenario's bias fields."""
-    systems = []
-    for b_field in bundle.scenario.fields:
-        omega_a, omega_b = derive_larmor(bundle.magnetics, field=b_field)
-        systems.append(replace(bundle.system, omega_a=omega_a,
-                               omega_b=omega_b))
-    return systems
-
-
 def run_field_sweep(bundle: Bundle) -> ScanResult:
     """Track the hybrid line across bias fields via free-precession fits.
 
@@ -436,24 +415,26 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
     if bundle.magnetics is None:
         raise ConfigError("sweep_field scenario needs a [magnetics] section")
     sc = bundle.scenario
-    rngs = _streams(sc.seed, len(sc.fields))
-    systems = _field_systems(bundle)
-    _check_record_sizes(bundle)
+    larmor = [derive_larmor(bundle.magnetics, field=b) for b in sc.fields]
+    systems = [replace(bundle.system, omega_a=a, omega_b=b) for a, b in larmor]
+    sizes = [transient_samples(s, sc.observe_efolds, sc.samples_per_cycle)
+             for s in systems]
 
     centers, widths, contrasts, freqs, decays = [], [], [], [], []
-    for system, rng in zip(systems, rngs):
-        centers.append(line_center(system))
-        contrasts.append(line_shape(system, bundle.optics).contrast
-                         if bundle.optics is not None else math.nan)
-        res = magnetic_pulse_transient(
-            system, tilt_amplitude=sc.tilt_amplitude,
-            observe_efolds=sc.observe_efolds,
-            samples_per_cycle=sc.samples_per_cycle,
-            noise_sigma=sc.noise_sigma, rng=rng)
-        widths.append(2.0 * res.formula_decay)
-        freqs.append(res.fit.frequency)
-        decays.append(res.fit.decay_rate)
-        del res     # free this field's record before the next one evolves
+    with _record_budget(sc, sizes, ("observe_efolds", "samples_per_cycle")):
+        for system, rng in zip(systems, _streams(sc.seed, len(systems))):
+            centers.append(line_center(system))
+            contrasts.append(line_shape(system, bundle.optics).contrast
+                             if bundle.optics is not None else math.nan)
+            res = magnetic_pulse_transient(
+                system, tilt_amplitude=sc.tilt_amplitude,
+                observe_efolds=sc.observe_efolds,
+                samples_per_cycle=sc.samples_per_cycle,
+                noise_sigma=sc.noise_sigma, rng=rng)
+            widths.append(2.0 * res.formula_decay)
+            freqs.append(res.fit.frequency)
+            decays.append(res.fit.decay_rate)
+            del res   # free this field's record before the next one evolves
     table = _table(SWEEP_COLUMNS, [float(b) for b in sc.fields],
                    [s.omega_b for s in systems], centers, widths, contrasts,
                    freqs, decays)
@@ -483,12 +464,14 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 def run_transient(bundle: Bundle) -> ScanResult:
     """One tilt-pulse free-precession record with its decaying-sinusoid fit."""
     sc = bundle.scenario
-    _check_record_sizes(bundle)
-    res = magnetic_pulse_transient(
-        bundle.system, tilt_amplitude=sc.tilt_amplitude,
-        observe_efolds=sc.observe_efolds,
-        samples_per_cycle=sc.samples_per_cycle, noise_sigma=sc.noise_sigma,
-        rng=_streams(sc.seed, 1)[0])
+    size = transient_samples(bundle.system, sc.observe_efolds,
+                             sc.samples_per_cycle)
+    with _record_budget(sc, [size], ("observe_efolds", "samples_per_cycle")):
+        res = magnetic_pulse_transient(
+            bundle.system, tilt_amplitude=sc.tilt_amplitude,
+            observe_efolds=sc.observe_efolds,
+            samples_per_cycle=sc.samples_per_cycle,
+            noise_sigma=sc.noise_sigma, rng=_streams(sc.seed, 1)[0])
     traj = res.trajectory
     fit = res.fit
 
@@ -507,18 +490,6 @@ def run_transient(bundle: Bundle) -> ScanResult:
 
 # ---------------------------------------------------------------------------
 # calibration
-
-
-def _calibration_grid(bundle: Bundle) -> tuple:
-    """(fields, alkali Larmor frequencies, sample rates, record duration)
-    of a calibration: up to five of the scenario's fields, spread across
-    it, each sampled over two alkali decay e-folds."""
-    sc = bundle.scenario
-    idx = np.linspace(0, len(sc.fields) - 1, 5).round().astype(int)
-    fields = [sc.fields[i] for i in sorted(set(int(i) for i in idx))]
-    omegas = [derive_larmor(bundle.magnetics, field=b)[0] for b in fields]
-    rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
-    return fields, omegas, rates, 2.0 / (TWO_PI * bundle.system.gamma_a)
 
 
 def run_calibration(bundle: Bundle) -> ScanResult:
@@ -542,40 +513,48 @@ def run_calibration(bundle: Bundle) -> ScanResult:
     if true_gamma == 0.0:
         raise ConfigError("calibrate needs gamma_a > 0: its records span two "
                           "alkali decay e-folds")
-    cal_fields, omegas, rates, duration = _calibration_grid(bundle)
-    _check_record_sizes(bundle)
-    rngs = _streams(sc.seed, sc.trials)
-    # each field's grid and noiseless record serve every trial
-    clean_records = []
-    for omega_a, fs in zip(omegas, rates):
-        t = np.arange(int(duration * fs)) / fs
-        clean_records.append((t, np.exp(-TWO_PI * true_gamma * t)
-                              * np.cos(TWO_PI * omega_a * t)))
+    # up to five of the scenario's fields, spread across it, each sampled
+    # over two alkali decay e-folds
+    idx = np.linspace(0, len(sc.fields) - 1, 5).round().astype(int)
+    cal_fields = [sc.fields[i] for i in sorted(set(int(i) for i in idx))]
+    omegas = [derive_larmor(bundle.magnetics, field=b)[0] for b in cal_fields]
+    rates = [sc.samples_per_cycle * abs(omega_a) for omega_a in omegas]
+    duration = 2.0 / (TWO_PI * true_gamma)
+    sizes = [float(np.floor(duration * fs)) for fs in rates]
 
-    def one_trial(rng) -> tuple:
-        """One trial's cells, in CALIBRATION_COLUMNS order after "trial"."""
-        freq_hat = []
-        gam_hat, gam_var = [], []
-        for t, record in clean_records:
-            if rng is not None:
-                record = record + rng.normal(0.0, noise, size=t.shape)
-            fit = fit_decaying_sinusoid(t, record)
-            freq_hat.append(fit.frequency)
-            gam_hat.append(fit.decay_rate)
-            half = 0.5 * (fit.decay_rate_ci[1] - fit.decay_rate_ci[0])
-            gam_var.append(max(half, 1e-30) ** 2)
-        lin = fit_linear(np.array(cal_fields), np.array(freq_hat))
-        w = 1.0 / np.asarray(gam_var)
-        pooled = float(np.sum(w * np.asarray(gam_hat)) / np.sum(w))
-        pooled_half = float(1.0 / math.sqrt(np.sum(w)))
-        slo, shi = lin.slope_ci
-        dlo, dhi = pooled - pooled_half, pooled + pooled_half
-        return (lin.slope, slo, shi, int(slo <= true_g <= shi),
-                pooled, dlo, dhi, int(dlo <= true_gamma <= dhi))
+    with _record_budget(sc, sizes, ("samples_per_cycle",)):
+        rngs = _streams(sc.seed, sc.trials)
+        # each field's grid and noiseless record serve every trial
+        clean_records = []
+        for omega_a, fs in zip(omegas, rates):
+            t = np.arange(int(duration * fs)) / fs
+            clean_records.append((t, np.exp(-TWO_PI * true_gamma * t)
+                                  * np.cos(TWO_PI * omega_a * t)))
 
-    clean = dict(zip(CALIBRATION_COLUMNS[1:], one_trial(None)))
-    table = _table(CALIBRATION_COLUMNS, range(sc.trials),
-                   *zip(*(one_trial(rng) for rng in rngs)))
+        def one_trial(rng) -> tuple:
+            """One trial's cells: CALIBRATION_COLUMNS after "trial"."""
+            freq_hat = []
+            gam_hat, gam_var = [], []
+            for t, record in clean_records:
+                if rng is not None:
+                    record = record + rng.normal(0.0, noise, size=t.shape)
+                fit = fit_decaying_sinusoid(t, record)
+                freq_hat.append(fit.frequency)
+                gam_hat.append(fit.decay_rate)
+                half = 0.5 * (fit.decay_rate_ci[1] - fit.decay_rate_ci[0])
+                gam_var.append(max(half, 1e-30) ** 2)
+            lin = fit_linear(np.array(cal_fields), np.array(freq_hat))
+            w = 1.0 / np.asarray(gam_var)
+            pooled = float(np.sum(w * np.asarray(gam_hat)) / np.sum(w))
+            pooled_half = float(1.0 / math.sqrt(np.sum(w)))
+            slo, shi = lin.slope_ci
+            dlo, dhi = pooled - pooled_half, pooled + pooled_half
+            return (lin.slope, slo, shi, int(slo <= true_g <= shi),
+                    pooled, dlo, dhi, int(dlo <= true_gamma <= dhi))
+
+        clean = dict(zip(CALIBRATION_COLUMNS[1:], one_trial(None)))
+        table = _table(CALIBRATION_COLUMNS, range(sc.trials),
+                       *zip(*(one_trial(rng) for rng in rngs)))
 
     extras = {
         "true_slope": true_g,

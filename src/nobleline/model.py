@@ -25,6 +25,11 @@ TWO_PI = 2.0 * math.pi
 #: minimum sample_rate / omega of every sampled record (Nyquist with margin)
 MIN_SAMPLES_PER_CYCLE = 4.0
 
+#: largest |rate| a resolved system may hold, Hz: the square, product or sum
+#: of squares of any two such rates, or of their differences, stays below
+#: 1e201, far inside float64's 1.8e308
+_MAX_RATE = 1e100
+
 # SI constants. The first four are exact by definition of the SI units since
 # 2019; the electron radius is the CODATA 2022 value.
 #: Planck constant, J s
@@ -339,7 +344,7 @@ def build_system(magnetics: MagneticConfig | None = None,
     run directly on fitted numbers. A bare `exchange` override with no
     derivable J_a/J_b sets a symmetric pair J_a = J_b = J; giving it with
     only one of the two rates, or with both inconsistently, is a
-    ConfigError.
+    ConfigError; a rate beyond +-1e100 Hz (_MAX_RATE) is a ValueError.
     """
     overrides = dict(overrides or {})
     values: dict = {}
@@ -387,4 +392,9 @@ def build_system(magnetics: MagneticConfig | None = None,
             raise ConfigError(f"{key} is neither derivable (no magnetics) nor given")
     values.setdefault("exchange_ab", 0.0)
     values.setdefault("exchange_ba", 0.0)
+    for key in ("omega_a", "omega_b", "gamma_a", "gamma_b", "exchange_ab",
+                "exchange_ba"):
+        if not abs(values[key]) <= _MAX_RATE:
+            raise ValueError(f"{key} = {values[key]:g} lies beyond the "
+                             f"+-{_MAX_RATE:g} Hz a rate may hold")
     return SystemParams(**values)

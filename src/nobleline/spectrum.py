@@ -92,7 +92,10 @@ def line_center(system: SystemParams) -> float:
     omega = system.omega_b
     for _ in range(LINE_CENTER_MAX_ITER):
         da = omega - system.omega_a
-        _, den = exchange_denominator(system, da)
+        try:
+            _, den = exchange_denominator(system, da)
+        except OverflowError:   # the iterate has run off past any rate
+            break
         new = system.omega_b + j2 * da / den
         # a pull larger than |omega_b| sets the last bit of the center
         if abs(new - omega) <= LINE_CENTER_TOL * max(scale, abs(new)):

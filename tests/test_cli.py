@@ -374,20 +374,37 @@ def test_fit_error_exits_fit(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "transient.lock").exists()
 
 
-@pytest.mark.parametrize("command, knobs", [
-    ("transient", ("observe_efolds (2)", "samples_per_cycle (32)")),
-    ("calibrate", ("samples_per_cycle (32)",)),
-    ("excite", ("points (41)",)),
-])
-def test_out_of_memory_exits_config_in_one_line(tmp_path, capsys,
-                                                monkeypatch, command, knobs):
+RECORD_KNOBS = ("observe_efolds (2)", "samples_per_cycle (32)")
+
+
+@pytest.mark.parametrize("command, scenario, layer, knobs", [
+    ("spectrum", {}, "evaluate_spectrum", ("points (41)",)),
+    ("spectrum", {"method": "demodulated"}, "evaluate_spectrum",
+     ("demod_periods (8)", "samples_per_cycle (32)")),
+    ("excite", {}, "excite_and_readout", ("points (41)",)),
+    ("sweep-field", {}, "magnetic_pulse_transient", RECORD_KNOBS),
+    ("transient", {}, "magnetic_pulse_transient", RECORD_KNOBS),
+    ("calibrate", {}, "fit_decaying_sinusoid", ("samples_per_cycle (32)",)),
+    ("calibrate", {}, "_streams", ("samples_per_cycle (32)",)),
+], ids=["spectrum-evaluate_spectrum", "spectrum-demodulated-evaluate_spectrum",
+        "excite-excite_and_readout", "sweep-field-magnetic_pulse_transient",
+        "transient-magnetic_pulse_transient",
+        "calibrate-fit_decaying_sinusoid", "calibrate-_streams"])
+def test_out_of_memory_exits_config_in_one_line(tmp_path, capsys, monkeypatch,
+                                                command, scenario, layer,
+                                                knobs):
+    # raised where numpy would raise it: in a layer the runner calls inside
+    # its record budget
     import nobleline.experiments as experiments
 
-    def exhausted(bundle):
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(experiments, "run_scenario", exhausted)
-    code = main([command, "--out", str(tmp_path)])
+    monkeypatch.setattr(experiments, layer, exhausted)
+    sections = preset_sections()
+    sections["scenario"].update(scenario)
+    code = main([command, "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("nobleline: error: config: out of memory;")
@@ -753,6 +770,48 @@ def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+PAIR_1E200 = {"exchange_ab": "1e200", "exchange_ba": "1e200"}
+PAIR_1E90 = {"exchange_ab": "1e90", "exchange_ba": "1e90"}
+
+
+@pytest.mark.parametrize("command, system, code, named", [
+    ("check-config", {"gamma_a": "1e200"}, EXIT_CONFIG, "gamma_a"),
+    ("derive-params", {"omega_a": "1e200"}, EXIT_CONFIG, "omega_a"),
+    ("spectrum", {"omega_b": "1e200"}, EXIT_CONFIG, "omega_b"),
+    ("excite", PAIR_1E200, EXIT_CONFIG, "exchange_ab"),
+    ("transient", {"gamma_a": "1e200"}, EXIT_CONFIG, "gamma_a"),
+    ("derive-params", PAIR_1E200, EXIT_CONFIG, "exchange_ab"),
+    ("spectrum", {"omega_b": "1e20"}, EXIT_VALIDITY, "undamped slow mode"),
+    ("excite", PAIR_1E90, EXIT_VALIDITY, "did not converge"),
+    ("derive-params", PAIR_1E90, EXIT_VALIDITY, "did not converge"),
+], ids=["check-config-gamma_a-1e200", "derive-params-omega_a-1e200",
+        "spectrum-omega_b-1e200", "excite-exchange-1e200",
+        "transient-gamma_a-1e200", "derive-params-exchange-1e200",
+        "spectrum-omega_b-1e20", "excite-exchange-1e90",
+        "derive-params-exchange-1e90"])
+def test_extreme_rates_end_in_one_error_line(tmp_path, capsys, command,
+                                             system, code, named):
+    # a rate whose square overflowed ended in an OverflowError traceback,
+    # and a 1e200 exchange pair in a ZeroDivisionError one (derive-params
+    # printed Infinity and NaN with exit 0); rates past 1e100 Hz are now
+    # refused at load. Below that, a slow mode that loses its decay to
+    # rounding divided by zero, and a line center that ran off overflowed
+    sections = preset_sections()
+    sections["system"].update(system)
+    argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]
+    out = tmp_path / "out"
+    if command not in ("check-config", "derive-params"):
+        argv += ["--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    kind = "config" if code == EXIT_CONFIG else "validity"
+    assert captured.err.startswith(f"nobleline: error: {kind}:")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("scenario", [
     {"noise_sigma": "0.01"},
     {"noise_sigma": "0.01", "ramp_efolds": "0.5", "pulse_efolds": "8"},
@@ -792,6 +851,21 @@ def test_excite_fits_noise_below_its_readouts(tmp_path, capsys):
     fit = json.loads((out / "excite_fit.json").read_text())
     assert fit["extras"]["fitted_half_width"] == pytest.approx(
         fit["extras"]["line_half_width"], rel=0.2)
+
+
+def test_excite_too_short_to_resolve_the_line_exits_fit(tmp_path, capsys):
+    # 1e-6-e-fold pulses Fourier-broaden the response to some 1e6 line
+    # widths, far past the scan, so every point reads the same: the dip fit
+    # spends its whole budget (5,000 evaluations) and the run writes nothing
+    sections = preset_sections()
+    sections["scenario"].update(pulse_efolds="1e-6")
+    out = tmp_path / "out"
+    assert main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)]) == EXIT_FIT
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: fit:")
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, scenario", [

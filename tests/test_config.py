@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nobleline.config import (_SCHEMAS, MAX_SCAN_ROWS, Bundle,
                               ScenarioConfig, config_from_mapping,
                               load_config, preset_path, scenario_with)
-from nobleline.model import ConfigError, ValidityError
+from nobleline.model import _MAX_RATE, ConfigError, ValidityError
 
 # a system that loads, for mappings to perturb
 LOADABLE = {"system": {"gamma_a": "1.0", "gamma_b": "0.05", "omega_a": "500",
@@ -146,6 +146,15 @@ def test_values_that_overflow_the_derivation_rejected():
     raw = {"system": {**LOADABLE["system"], "exchange": "1e200",
                       "exchange_ab": "1", "exchange_ba": "1"}}
     with pytest.raises(ConfigError, match=r"^\[system\] "):
+        config_from_mapping(raw)
+
+
+@pytest.mark.parametrize("key", ["omega_a", "omega_b", "gamma_a", "gamma_b"])
+def test_rates_past_max_rate_rejected(key):
+    raw = {"system": {**LOADABLE["system"], key: _MAX_RATE}}
+    assert getattr(config_from_mapping(raw).system, key) == _MAX_RATE
+    raw["system"][key] = math.nextafter(_MAX_RATE, math.inf)
+    with pytest.raises(ConfigError, match=rf"^\[system\] {key} = "):
         config_from_mapping(raw)
 
 

@@ -175,6 +175,20 @@ def test_run_scenario_dispatch(preset_bundle):
     assert res.name == "transient"
 
 
+def test_out_of_memory_reaches_python_callers_as_config_error(preset_bundle,
+                                                              monkeypatch):
+    import nobleline.experiments as experiments
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "magnetic_pulse_transient", exhausted)
+    with pytest.raises(ConfigError, match=r"^out of memory; the run's largest "
+                       r"record holds up to 4\.478e\+04 samples; lower "
+                       r"observe_efolds \(2\) or samples_per_cycle \(32\)$"):
+        run_scenario(with_scenario(preset_bundle, name="transient"))
+
+
 def test_runner_records_the_scenario_it_ran(preset_bundle):
     # the preset's scenario is named spectrum; the provenance must name the
     # protocol that produced the result, so that it replays that run

@@ -24,15 +24,28 @@ each at seeds 1 and 20260819, three files per run: 14 cases, 84 files
 per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset, and of `derive-params` on the preset with [optics]
-removed (no line and no optics block). The tool prints one
-`DIFF <case>/<file>` or `DIFF stdout/<case>` line for each output that
-differs or is missing on one side, and one `FAIL <side> <case>` line for
-each run that exits non-zero. It exits 1 if there was any, else 0. Each
-CLI child is reaped with wait4, and one `rss <case> <parent MB> <change
-MB>` line per case and per stdout case gives each side's peak resident set
-(over both seeds of a case), so a memory change is measured per command. Both
-sides together take about two minutes on a 2-vCPU x86-64 VM, most of it in
-the sweep-field and calibrate runs.
+removed (no line and no optics block). Last come eight refusals, each run
+once, whose exit code and stderr line must match byte for byte:
+
+- transient with observe_efolds = 1e12 (a record over the cap);
+- sweep-field and calibrate with samples_per_cycle = 1e308 (a record size
+  that overflows);
+- demodulated spectrum with demod_periods = 2.5 (too short a window) and
+  with samples_per_cycle = 4.01 (undersampled);
+- excite with points = 5 and span_halfwidths = 1e6 (an unresolved line)
+  and with dead_efolds = 1e308 (every readout decays to zero);
+- transient at [magnetics] field = 2.3837837837837834 mG, where
+  omega_a = 0 (a 7.41 % width gap, exit 3).
+
+The tool prints one `DIFF <case>/<file>`, `DIFF stdout/<case>` or
+`DIFF refusal/<case>` line for each output that differs or is missing on
+one side, and one `FAIL <side> <case>` line for each run that exits
+non-zero, or for a refusal that exits 0. It exits 1 if there was any, else
+0. Each CLI child is reaped with wait4, and one `rss <case> <parent MB>
+<change MB>` line per case and per stdout case gives each side's peak
+resident set (over both seeds of a case), so a memory change is measured
+per command. Both sides together take about two minutes on a 2-vCPU x86-64
+VM, most of it in the sweep-field and calibrate runs.
 """
 
 from __future__ import annotations
@@ -69,6 +82,23 @@ CASES = {
     "calibrate": ("calibrate", {}),
 }
 
+# refusal case name -> (CLI command, [scenario] overrides)
+REFUSALS = {
+    "transient_observe_efolds": ("transient", {"observe_efolds": "1e12"}),
+    "sweep_field_samples_per_cycle": ("sweep-field",
+                                      {"samples_per_cycle": "1e308"}),
+    "calibrate_samples_per_cycle": ("calibrate",
+                                    {"samples_per_cycle": "1e308"}),
+    "spectrum_demod_periods": ("spectrum", {"method": "demodulated",
+                                            "demod_periods": "2.5"}),
+    "spectrum_samples_per_cycle": ("spectrum", {"method": "demodulated",
+                                                "samples_per_cycle": "4.01"}),
+    "excite_unresolved": ("excite", {"points": "5",
+                                     "span_halfwidths": "1e6"}),
+    "excite_dead_efolds": ("excite", {"dead_efolds": "1e308"}),
+    "transient_width_gap": ("transient", {}),
+}
+
 # stdout case name -> CLI command; a case that drops no section (below)
 # runs on the packaged preset itself
 STDOUT_CASES = {"check-config": "check-config",
@@ -80,7 +110,10 @@ DROPPED_SECTIONS = {"sweep_field_no_optics": ("optics",),
                     "derive-params_no_optics": ("optics",)}
 
 # case name -> overrides of preset sections other than [scenario]
-SECTION_OVERRIDES = {"transient_field_2mG": {"magnetics": {"field": "2.0"}}}
+SECTION_OVERRIDES = {
+    "transient_field_2mG": {"magnetics": {"field": "2.0"}},
+    "transient_width_gap": {"magnetics": {"field": "2.3837837837837834"}},
+}
 
 
 def write_config(src: Path, overrides: dict, path: Path,
@@ -106,11 +139,12 @@ def write_config(src: Path, overrides: dict, path: Path,
         parser.write(fh)
 
 
-def run_side(src: Path, work: Path, case: str, seed: int
-             ) -> tuple[Path, str, int]:
-    """Run one case on one side; return its output directory, its stderr
-    if the run failed, and its peak RSS in KiB."""
-    command, overrides = CASES[case]
+def run_side(src: Path, work: Path, case: str, seed: int, command: str,
+             overrides: dict
+             ) -> tuple[Path, subprocess.CompletedProcess, int]:
+    """Run one case of `command` with [scenario] `overrides` on one side;
+    return its output directory, the finished run and its peak RSS in
+    KiB."""
     out = work / f"{case}_seed{seed}"
     out.mkdir(parents=True)
     config = out.with_suffix(".ini")
@@ -118,7 +152,7 @@ def run_side(src: Path, work: Path, case: str, seed: int
                  SECTION_OVERRIDES.get(case))
     done, rss = run_cli(src, command, "--config", str(config), "--out",
                         str(out), "--seed", str(seed), "--quiet")
-    return out, failure(done), rss
+    return out, done, rss
 
 
 def run_stdout_case(src: Path, work: Path, case: str
@@ -177,16 +211,16 @@ def main(argv=None) -> int:
 
     problems = compared = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
-        for case, (command, _) in CASES.items():
+        for case, (command, overrides) in CASES.items():
             prefix = command.replace("-", "_")
             peaks = dict.fromkeys(sides, 0)
             for seed in SEEDS:
                 outs = {}
                 for name, src in sides.items():
-                    outs[name], err, rss = run_side(src, Path(tmp) / name,
-                                                    case, seed)
+                    outs[name], done, rss = run_side(
+                        src, Path(tmp) / name, case, seed, command, overrides)
                     peaks[name] = max(peaks[name], rss)
-                    if err:
+                    if err := failure(done):
                         problems += 1
                         print(f"FAIL {name} {case} seed {seed}: "
                               f"{err.splitlines()[-1]}")
@@ -213,7 +247,20 @@ def main(argv=None) -> int:
                 problems += 1
                 print(f"DIFF stdout/{case}")
             print_rss(case, peaks)
-    print(f"compared {compared} files and {len(STDOUT_CASES)} stdouts: "
+        for case, spec in REFUSALS.items():
+            ends = set()
+            for name, src in sides.items():
+                _, done, _ = run_side(src, Path(tmp) / name, case, SEEDS[0],
+                                      *spec)
+                ends.add((done.returncode, done.stderr))
+                if done.returncode == 0:
+                    problems += 1
+                    print(f"FAIL {name} {case}: exit 0")
+            if len(ends) > 1:
+                problems += 1
+                print(f"DIFF refusal/{case}")
+    print(f"compared {compared} files, {len(STDOUT_CASES)} stdouts and "
+          f"{len(REFUSALS)} refusals: "
           f"{'no differences' if not problems else f'{problems} problems'}")
     return 1 if problems else 0
 
