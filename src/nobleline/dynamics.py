@@ -167,7 +167,7 @@ def check_width_gap(system: SystemParams) -> None:
     if gap > MAX_WIDTH_GAP:
         raise ValidityError(
             "hybridization not perturbative: the closed-form half-width is "
-            f"{gap:.2%} off the exact slow-mode decay (bound "
+            f"{100 * gap:.3g}% off the exact slow-mode decay (bound "
             f"{MAX_WIDTH_GAP:.0%}) at |omega_a - omega_b| = "
             f"{abs(system.omega_a - system.omega_b):.4g} Hz, J = "
             f"{system.exchange:.4g} Hz, gamma_a = {system.gamma_a:.4g} Hz "

@@ -30,7 +30,7 @@ from . import __version__
 from .config import Bundle
 from .dynamics import (check_width_gap, excite_and_readout,
                        magnetic_pulse_transient, transient_samples)
-from .model import (MIN_SAMPLES_PER_CYCLE, ConfigError, TWO_PI,
+from .model import (_MAX_RATE, MIN_SAMPLES_PER_CYCLE, ConfigError, TWO_PI,
                     ValidityError, derive_larmor)
 from .signals import (MIN_DEMOD_PERIODS, fit_decaying_sinusoid,
                       fit_inverted_lorentzian, fit_linear,
@@ -416,6 +416,12 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
         raise ConfigError("sweep_field scenario needs a [magnetics] section")
     sc = bundle.scenario
     larmor = [derive_larmor(bundle.magnetics, field=b) for b in sc.fields]
+    for b, pair in zip(sc.fields, larmor):
+        for name, rate in zip(("omega_a", "omega_b"), pair):
+            if not abs(rate) <= _MAX_RATE:
+                raise ConfigError(f"fields: field {b:g} mG gives {name} = "
+                                  f"{rate:g} Hz, beyond the +-{_MAX_RATE:g} "
+                                  "Hz a rate may hold")
     systems = [replace(bundle.system, omega_a=a, omega_b=b) for a, b in larmor]
     sizes = [transient_samples(s, sc.observe_efolds, sc.samples_per_cycle)
              for s in systems]

@@ -197,19 +197,15 @@ def _more_step(uf, s, V, full_rank, Delta, alpha):
     return p, alpha
 
 
-def _svd_uf(J: np.ndarray, f: np.ndarray):
-    """(U^T f, s, V^T) of the thin SVD J = U diag(s) V^T, from LAPACK's
-    gesdd through numpy's gufunc; U is freed on return. U and V^T are
-    written into Fortran-ordered buffers, as scipy.linalg.svd returns them:
-    BLAS sums U^T f and V (.) in layout order, and C-ordered factors of the
-    same values send a fit down another path from its first step."""
-    m, n = J.shape
-    k = min(m, n)
-    U = np.empty((m, k), order="F")
-    s = np.empty(k)
-    Vt = np.empty((k, n), order="F")
-    _umath_linalg.svd_s(J, out=(U, s, Vt), signature="d->ddd")
-    return U.T.dot(f), s, Vt
+def _factor(block: np.ndarray):
+    """(R, Q^T f) of J = Q R from one in-place Householder QR (LAPACK's
+    geqrf through numpy's gufunc) of the Fortran-ordered block [J | f] of
+    k + 1 columns: the k x k triangle and k entries of Q^T f, zero-padded
+    below when J has fewer than k rows. J^T f = R^T Q^T f."""
+    _umath_linalg.qr_r_raw(block, signature="d->d")
+    top = np.zeros((block.shape[1] - 1, block.shape[1]))
+    top[:block.shape[0]] = np.triu(block[:len(top)])
+    return top[:, :-1], top[:, -1]
 
 
 def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
@@ -218,13 +214,14 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     This is the unbounded Trust Region Reflective loop of Branch, Coleman &
     Li (SIAM J. Sci. Comput. 1999) with Moré's exact step, as scipy's
     nonlinear least-squares solver runs it with method="trf", xtol = ftol =
-    gtol = 1e-14 and max_nfev = 5000: unit x_scale, no loss, the same
-    operations in the same order, the radius cut to a quarter of the step
-    when a trial residual is not finite.
-    Checked against scipy 1.17.1, it returns the same x bits and nfev.
-    It skips the Jacobian scipy evaluates after the terminating step, so
-    njev counts the Jacobians actually evaluated. The SVD comes from
-    _svd_uf, whose Fortran-ordered factors keep scipy's bits.
+    gtol = 1e-14 and max_nfev = 5000: unit x_scale, no loss, the radius
+    cut to a quarter of the step when a trial residual is not finite.
+    Each Jacobian is factored once (_factor), and Moré's step comes from
+    the SVD of the k x k triangle, as in LNM 630, not of the m x k J: the
+    same iteration, rounded otherwise, so x matches scipy's to the
+    optimizer's floor, not bit for bit. jac(p, out) fills the first k
+    columns of the one (m, k + 1) block the loop owns; njev counts the
+    Jacobians evaluated, without scipy's one after the terminating step.
     Raises FitConvergenceError when the residual at x0 is not finite, a
     Jacobian is not finite, or the evaluation budget runs out.
     """
@@ -233,31 +230,36 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     if not np.isfinite(f).all():
         raise FitConvergenceError(f"{label} fit failed: Residuals are not "
                                   "finite in the initial point.", last_params=x)
-    J = jac(x)
+    m, n = f.size, x.size
+    block = np.empty((m, n + 1), order="F")
+
+    def factored(x, f):
+        jac(x, block[:, :n])
+        block[:, n] = f
+        R, qtf = _factor(block)
+        return R, qtf, R.T.dot(qtf)
+
+    R, qtf, g = factored(x, f)
     nfev = njev = 1
-    m, n = J.shape
     cost = 0.5 * np.dot(f, f)
-    g = J.T.dot(f)
-    Delta = _norm(x)
-    if Delta == 0:
-        Delta = 1.0
+    Delta = _norm(x) or 1.0
     alpha = 0.0
     while not np.abs(g).max() < _TRF_TOL:
         if nfev == _TRF_MAX_NFEV:
             raise FitConvergenceError(
                 f"{label} fit failed: The maximum number of function "
                 "evaluations is exceeded.", last_params=x)
-        if not np.isfinite(J).all():
+        if not np.isfinite(R).all():
             raise FitConvergenceError(f"{label} fit failed: Jacobian is not "
                                       "finite.", last_params=x)
-        uf, s, Vt = _svd_uf(J, f)
+        U, s, Vt = np.linalg.svd(R)
+        uf = U.T.dot(qtf)
         full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
         reduction, done = -1, False
         while reduction <= 0 and nfev < _TRF_MAX_NFEV:
             step, alpha = _more_step(uf, s, Vt.T, full_rank, Delta, alpha)
-            Js = J.dot(step)
-            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
-            del Js      # record-sized; not kept alive through the next SVD
+            Rs = R.dot(step)
+            predicted = -(0.5 * np.dot(Rs, Rs) + np.dot(step, g))
             x_new = x + step
             f_new = resid(x_new)
             nfev += 1
@@ -287,9 +289,8 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
             if not done:
-                J = jac(x)
+                R, qtf, g = factored(x, f)
                 njev += 1
-                g = J.T.dot(f)
         if done:
             break
     return x, nfev, njev
@@ -417,23 +418,22 @@ def fit_inverted_lorentzian(x: np.ndarray, y: np.ndarray) -> LineFit:
         x0, g, c, b = unpack(p)
         return b * (1.0 - c * g**2 / ((x - x0)**2 + g**2)) - y
 
-    def jac(p):
+    def jac(p, out):
         x0, g, c, b = unpack(p)
         u = x - x0
         den = u**2 + g**2
         lor = g**2 / den
         sgn = 1.0 if p[1] >= 0 else -1.0
-        return np.column_stack([
-            -b * c * lor * 2.0 * u / den,
-            -sgn * 2.0 * b * c * g * u**2 / den**2,
-            -b * lor,
-            1.0 - c * lor,
-        ])
+        out[:, 0] = -b * c * lor * 2.0 * u / den
+        out[:, 1] = -sgn * 2.0 * b * c * g * u**2 / den**2
+        out[:, 2] = -b * lor
+        out[:, 3] = 1.0 - c * lor
+        return out
 
     p, nfev, njev = _trf(resid, [x0_0, g0, c0, base0], jac, "line")
     x0, g, c, b = unpack(p)
     r = resid(p)
-    dof, sigma2, unscaled = _normal_inverse(jac(p), r)
+    dof, sigma2, unscaled = _normal_inverse(jac(p, np.empty((x.size, 4))), r)
     # a zero residual would make the interval tests below vacuous (flat
     # input fits a 1e-17 dip exactly), so they assume at least roundoff noise
     floor2 = max(sigma2, (np.finfo(float).eps * float(np.max(np.abs(y))))**2)
@@ -487,7 +487,7 @@ def _sinusoid_start(y: np.ndarray, dt: float, span: float):
     of the record y, sampled every dt over span: the FFT peak, the largest
     excursion from the mean and the ratio of the first and last quarter's
     envelopes. Its record-sized temporaries are freed on return, before the
-    fit's SVDs."""
+    fit's QRs."""
     yc = y - float(np.mean(y))
     spec = np.abs(np.fft.rfft(yc))
     freqs = np.fft.rfftfreq(y.size, dt)
@@ -565,13 +565,12 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         r -= y
         return r
 
-    def jac(p):
+    def jac(p, out):
         # filled in place, with no temporary: dg holds 2*pi*ts*env, which
         # df needs, before it becomes d/dg = -(2*pi*ts*env)*osc, an exact
         # negation; dc serves as scratch before it is set to 1
         env, cosv, sinv, osc = terms(p)
         a, b = p[0], p[1]
-        out = np.empty((ts.size, 5), order="F")
         da, db, dg, df, dc = out.T
         np.multiply(env, cosv, out=da)
         np.multiply(env, sinv, out=db)
@@ -592,7 +591,8 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         f, b = -f, -b
     g = abs(g)
     r = resid([a, b, g, f, c])
-    dof, sigma2, unscaled = _normal_inverse(jac([a, b, g, f, c]), r)
+    dof, sigma2, unscaled = _normal_inverse(
+        jac([a, b, g, f, c], np.empty((ts.size, 5), order="F")), r)
     cov = sigma2 * unscaled
     # refer both envelope amplitude and phase back to t = 0
     scale = math.exp(TWO_PI * g * t0)

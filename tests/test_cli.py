@@ -673,6 +673,33 @@ def test_oversized_record_exits_config_before_evolving(
     assert all(knob in err for knob in knobs), err
 
 
+@pytest.mark.parametrize("fields", ["1e305 2e305 3e305", "4 5 1e99"])
+def test_sweep_fields_beyond_the_rate_bound_exit_config_before_any_work(
+        tmp_path, capsys, monkeypatch, fields):
+    # 1e305 mG derives omega_a = 5.9e307 Hz, which ended in a LinAlgError
+    # traceback; a field whose Larmor rate passes 1e100 Hz is refused as a
+    # [system] rate would be, before any system is evolved or checked
+    import nobleline.experiments as experiments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a field was run before the rate check")
+
+    for name in ("magnetic_pulse_transient", "transient_samples",
+                 "line_center"):
+        monkeypatch.setattr(experiments, name, unreachable)
+    sections = preset_sections()
+    sections["scenario"]["fields"] = fields
+    out = tmp_path / "out"
+    assert main(["sweep-field", "--config",
+                 write_ini(tmp_path / "f.ini", sections),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("nobleline: error: config: fields: ")
+    assert err.count("\n") == 1
+    assert "omega_a" in err and "1e+100 Hz" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, sections", [
     ("transient", {"magnetics": {"field": "2.3837837837837834"}}),
     ("transient", {"system": {"gamma_b": "100"}}),

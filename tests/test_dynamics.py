@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from bloch_oracle import integrate_bloch, segment_drive
 from nobleline.dynamics import (MAX_WIDTH_GAP, RAMP_SUBSTEPS, Segment,
-                                SidebandResponse, _Modes, evolve_exact,
-                                exact_linear_response, excite_and_readout,
-                                magnetic_pulse_transient, slow_mode,
-                                tilt_state, width_gap)
+                                SidebandResponse, _Modes, check_width_gap,
+                                evolve_exact, exact_linear_response,
+                                excite_and_readout, magnetic_pulse_transient,
+                                slow_mode, tilt_state, width_gap)
 from nobleline.model import TWO_PI, SystemParams, ValidityError, derive_larmor
 from nobleline.signals import heterodyne_extract
 from nobleline.spectrum import (alkali_coherence, hybrid_linewidth,
@@ -485,6 +485,20 @@ def test_width_gap_measures_the_breakdown(preset_magnetics, preset_system):
     assert width_gap(degenerate) == pytest.approx(0.0741, abs=1e-3)
     assert width_gap(replace(preset_system, gamma_b=100.0)) > 0.9
     assert width_gap(preset_system) < 1e-4
+
+
+def test_width_gap_refusal_prints_a_short_percentage(preset_magnetics,
+                                                     preset_system):
+    # the refusal of the 2.38 mG breakdown reads as it always has; an
+    # extreme accepted gamma_b once printed a percentage 100 digits long
+    omega_a, omega_b = derive_larmor(preset_magnetics,
+                                     field=preset_magnetics.noble_emf)
+    degenerate = replace(preset_system, omega_a=omega_a, omega_b=omega_b)
+    with pytest.raises(ValidityError, match=" is 7.41% off "):
+        check_width_gap(degenerate)
+    with pytest.raises(ValidityError, match=" is 1.96e\\+100% off ") as err:
+        check_width_gap(replace(preset_system, gamma_b=1e100))
+    assert len(str(err.value)) < 200
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,6 @@
 """Check that two source trees write byte-identical scenario outputs.
 
-    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python3 tools/compare_outputs.py [--drift] PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories holding a `nobleline` package
 (the `src` directory of two checkouts). Each side runs a fixed matrix of
@@ -46,12 +46,24 @@ non-zero, or for a refusal that exits 0. It exits 1 if there was any, else
 resident set (over both seeds of a case), so a memory change is measured
 per command. Both sides together take about two minutes on a 2-vCPU x86-64
 VM, most of it in the sweep-field and calibrate runs.
+
+With --drift, each DIFF line of a `*_fit.json` is followed by one `drift`
+line per fitted parameter and numeric extra that moved: its change
+relative to the parent's value and, for a parameter, in the parent's 95 %
+half-widths (the sinusoid offset, which has no interval, takes the
+residual RMS over sqrt(n)). Each DIFF line of a `*_points.csv` is followed
+by one `drift` line per column that moved: its largest relative change
+and how many rows moved. A speedup that moves outputs states its drift
+from these lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -192,6 +204,77 @@ def print_rss(case: str, peaks: dict) -> None:
                                     for kib in peaks.values()))
 
 
+def relative(old: float, new: float) -> float:
+    """|new - old| / |old|; inf for a move away from zero, 0 for equal
+    values (NaN included)."""
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def fit_drift(parent: Path, change: Path) -> list[str]:
+    """One line per fitted parameter and numeric extra that moved between
+    two `*_fit.json` files."""
+    a, b = (json.loads(p.read_text()) for p in (parent, change))
+    lines = []
+    for name, fit in a["fits"].items():
+        spread = fit["residual_rms"] / math.sqrt(fit["n_points"])
+        moved = b["fits"].get(name, {}).get("parameters", [])
+        for ref, row in zip(fit["parameters"], moved):
+            moved_by = relative(ref["value"], row["value"])
+            if not moved_by:
+                continue
+            half = ((ref["ci_high"] - ref["ci_low"]) / 2 if "ci_low" in ref
+                    else spread)
+            delta = abs(row["value"] - ref["value"])
+            lines.append(f"{name}.{ref['parameter']}: {moved_by:.3g} "
+                         f"relative, {delta / half if half else math.inf:.3g}"
+                         " half-widths")
+    for key, value in a["extras"].items():
+        new = b["extras"].get(key)
+        if isinstance(value, float) and isinstance(new, float) \
+                and new != value:
+            lines.append(f"extras.{key}: {relative(value, new):.3g} relative")
+    return lines
+
+
+def points_drift(parent: Path, change: Path) -> list[str]:
+    """One line per column that moved between two `*_points.csv` files:
+    its largest relative change and the number of rows that moved."""
+    with open(parent, newline="") as fa, open(change, newline="") as fb:
+        a, b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+    if len(a) != len(b):
+        return [f"{len(a)} rows against {len(b)}"]
+    lines = []
+    for column in a[0] if a else ():
+        pairs = [(x[column], y.get(column)) for x, y in zip(a, b)
+                 if x[column] != y.get(column)]
+        if not pairs:
+            continue
+        try:
+            worst = max(relative(float(x), float(y)) for x, y in pairs)
+        except (TypeError, ValueError):    # a flag or a missing column
+            worst = math.inf
+        lines.append(f"{column}: {worst:.3g} relative at most, "
+                     f"{len(pairs)} of {len(a)} rows")
+    return lines
+
+
+def print_drift(parent: Path, change: Path) -> None:
+    """The `drift` lines of one differing output, when both sides wrote
+    it."""
+    if not (parent.is_file() and change.is_file()):
+        return
+    if parent.name.endswith("_fit.json"):
+        lines = fit_drift(parent, change)
+    elif parent.name.endswith("_points.csv"):
+        lines = points_drift(parent, change)
+    else:
+        return
+    for line in lines:
+        print(f"  drift {line}")
+
+
 def failure(done: subprocess.CompletedProcess) -> str:
     """A failed run's stderr (or exit code); empty for a run that passed."""
     return ("" if done.returncode == 0
@@ -202,6 +285,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
+    parser.add_argument("--drift", action="store_true",
+                        help="state how far each differing fit value and "
+                             "points column moved")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent_src.resolve(),
              "change": args.change_src.resolve()}
@@ -233,6 +319,8 @@ def main(argv=None) -> int:
                             and a.read_bytes() == b.read_bytes()):
                         problems += 1
                         print(f"DIFF {rel}")
+                        if args.drift:
+                            print_drift(a, b)
             print_rss(case, peaks)
         for case in STDOUT_CASES:
             stdouts, peaks = set(), {}
