@@ -37,9 +37,9 @@ SCENARIO_NAMES = ("spectrum", "excite", "sweep_field", "transient",
                   "calibrate")
 
 #: largest `points` and `trials`: a closed-form spectrum point costs about
-#: 1.8 kB and 45 us (200,001 points peaked at 403 MB in 9.1 s) and a trial's
-#: random stream about 1 kB, so this cap holds a scan under 1 GB, the
-#: budget of experiments.MAX_RECORD_SAMPLES
+#: 0.8 kB and 18 us (200,001 points peaked at 192 MB in 3.7 s) and a
+#: calibrate trial's row about 0.4 kB, so this cap holds a scan under 1 GB,
+#: the budget of experiments.MAX_RECORD_SAMPLES
 MAX_SCAN_ROWS = 500_000
 
 #: farthest baseline point, in half-widths: the line's tail there is

@@ -411,8 +411,6 @@ def _transient_grid(system: SystemParams, observe_efolds: float,
                             f"exceed {MIN_SAMPLES_PER_CYCLE:g}; a sparser "
                             "record aliases the precession")
     gamma_slow, freq_slow = slow_mode(system)
-    if gamma_slow <= 0:
-        raise ValidityError("undamped slow mode: transient never decays")
     check_width_gap(system)
     duration = observe_efolds / (TWO_PI * gamma_slow)
     sample_rate = samples_per_cycle * max(abs(freq_slow), gamma_slow)

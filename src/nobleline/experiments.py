@@ -1,12 +1,12 @@
 """Scenario runners: full measurement protocols from config to output files.
 
 Every runner consumes a resolved :class:`~nobleline.config.Bundle`, draws all
-randomness from child streams of the scenario seed (stable across runs
-and platforms), and returns a :class:`ScanResult`. Its ``table`` maps each
-points column, in CSV order, to one equal-length sequence; this module owns
-every column name (the ``*_COLUMNS`` tuples) and is the one place where the
-complex coherences and lock-in amplitudes of the lower layers are split into
-real columns. ``write`` emits three files per scenario::
+randomness from child streams of the scenario seed, each made at its draw
+(stable across runs and platforms), and returns a :class:`ScanResult`. Its
+``table`` maps each points column, in CSV order, to one equal-length
+sequence; this module owns every column name (the ``*_COLUMNS`` tuples) and
+alone splits the complex coherences and lock-in amplitudes of the lower
+layers into real columns. ``write`` emits three files per scenario::
 
     <prefix>_points.csv        the table, one repr() per cell
     <prefix>_fit.json          fit reports and derived summary numbers
@@ -154,9 +154,10 @@ def _result(bundle: Bundle, name: str, table: dict, fits: dict,
                       provenance=provenance)
 
 
-def _streams(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(count)]
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """Child `index` of the seed: SeedSequence(seed).spawn(n)[index]."""
+    return np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(index,)))
 
 
 def _least_knob(estimate: float, passes) -> float:
@@ -251,27 +252,26 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                 f"samples_per_cycle = {sc.samples_per_cycle:g} undersamples "
                 f"the scan's highest frequency {highest:.6g}; use at least "
                 f"{least:.6g}")
-        sizes = [float(np.round(sc.demod_periods / center * fs))]
-        knobs = ("demod_periods", "samples_per_cycle")
+        n = float(np.round(sc.demod_periods / center * fs))
+        lowest = float(np.min(np.abs(omegas)))
+        # heterodyne_extract's span, in periods of the lowest frequency; nan
+        # where the record size overflows, which the budget refuses
+        window = (n - 1) / fs * lowest
+        if window < MIN_DEMOD_PERIODS:
+            hint = "no value does: the scan reaches zero frequency"
+            if lowest > 0:
+                least = _least_demod_periods(lowest, center, fs)
+                hint = f"use at least {least:.6g}"
+            raise ConfigError(
+                f"demod_periods = {sc.demod_periods:g} gives a demodulation "
+                f"window of {window:.3g} periods at the scan's lowest "
+                f"frequency {lowest:.6g}, below {MIN_DEMOD_PERIODS:g}; "
+                f"{hint}")
+        sizes, knobs = [n], ("demod_periods", "samples_per_cycle")
 
     with _record_budget(sc, sizes, knobs):
-        rngs = _streams(sc.seed, len(omegas))
         if sc.method == "demodulated":
-            n = int(sizes[0])
-            lowest = float(np.min(np.abs(omegas)))
-            # heterodyne_extract's span, in periods of the lowest frequency
-            window = (n - 1) / fs * lowest
-            if not window >= MIN_DEMOD_PERIODS:
-                hint = "no value does: the scan reaches zero frequency"
-                if lowest > 0:
-                    least = _least_demod_periods(lowest, center, fs)
-                    hint = f"use at least {least:.6g}"
-                raise ConfigError(
-                    f"demod_periods = {sc.demod_periods:g} gives a "
-                    f"demodulation window of {window:.3g} periods at the "
-                    f"scan's lowest frequency {lowest:.6g}, below "
-                    f"{MIN_DEMOD_PERIODS:g}; {hint}")
-            t = np.arange(n) / fs
+            t = np.arange(int(n)) / fs
         responses = evaluate_spectrum(omegas, system, bundle.optics,
                                       s2_in=sc.signal_amplitude)
         table = _table(SPECTRUM_COLUMNS, omegas,
@@ -284,10 +284,11 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
                        [r.r_tilde.imag for r in responses])
         if sc.method == "demodulated":
             lockins = []
-            for omega, resp, rng in zip(omegas.tolist(), responses, rngs):
-                s2_t = np.real(resp.s2_out * np.exp(-1j * TWO_PI * omega * t))
+            for i, (omega, r) in enumerate(zip(omegas.tolist(), responses)):
+                s2_t = np.real(r.s2_out * np.exp(-1j * TWO_PI * omega * t))
                 if sc.noise_sigma:
-                    s2_t = s2_t + rng.normal(0.0, sc.noise_sigma, size=t.shape)
+                    s2_t = s2_t + _stream(sc.seed, i).normal(
+                        0.0, sc.noise_sigma, size=t.shape)
                 lockins.append(heterodyne_extract(t, s2_t, omega))
             # math.hypot, not abs(z): they round differently in the last bit
             ratios = [math.hypot(z.real, z.imag) / abs(sc.signal_amplitude)
@@ -305,8 +306,8 @@ def run_spectrum_scan(bundle: Bundle) -> ScanResult:
             table["phase"] = [math.atan2(-z.imag, z.real) for z in lockins]
         elif sc.noise_sigma > 0:
             table["transmission"] = [
-                tr + rng.normal(0.0, sc.noise_sigma)
-                for tr, rng in zip(table["transmission"], rngs)]
+                tr + _stream(sc.seed, i).normal(0.0, sc.noise_sigma)
+                for i, tr in enumerate(table["transmission"])]
 
         dip = fit_inverted_lorentzian(omegas, table["transmission"])
         model_phase = np.array([phase_shift(line, d) for d in table["delta"]])
@@ -350,26 +351,36 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
                             "saturates")
     check_width_gap(system)
     omegas = center + _detuning_grid(sc, gamma)
-    with _record_budget(sc, [len(omegas)], ("points",)):
-        rngs = _streams(sc.seed, len(omegas))
-        ramp = sc.ramp_efolds / (TWO_PI * gamma)
-        # each pulse is sized by the width at its own grid point, so both
-        # edges must fit inside the pulse of the widest point
-        widest = max(hybrid_linewidth(system, omega - system.omega_a)
-                     for omega in omegas.tolist())
-        if widest > 0 and 2.0 * ramp > sc.pulse_efolds / (TWO_PI * widest):
-            raise ConfigError(
-                f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into "
-                f"the shortest pulse of the scan; keep it at or below "
-                f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
-        # the wait decays every readout by about exp(-waited)
-        waited = (sc.dead_efolds * gamma / system.gamma_a
-                  if system.gamma_a else 0.0)
-        if math.exp(-waited) == 0.0:
-            raise ConfigError(f"dead_efolds = {sc.dead_efolds:g} waits "
-                              f"{waited:.3g} e-folds of the line, which "
-                              "decays every readout to zero")
+    ramp = sc.ramp_efolds / (TWO_PI * gamma)
+    # each pulse is sized by the width at its own grid point, so both
+    # edges must fit inside the pulse of the widest point
+    widths = np.fromiter((hybrid_linewidth(system, omega - system.omega_a)
+                          for omega in omegas.tolist()), float, omegas.size)
+    widest, narrowest = float(widths.max()), float(widths.min())
+    if widest > 0 and 2.0 * ramp > sc.pulse_efolds / (TWO_PI * widest):
+        raise ConfigError(
+            f"ramp_efolds = {sc.ramp_efolds:g} does not fit twice into "
+            f"the shortest pulse of the scan; keep it at or below "
+            f"{0.5 * sc.pulse_efolds * gamma / widest:.6g}")
+    # the engine multiplies each pulse by the drive frequency and by the
+    # eigenvalues, each at most |gamma + i omega| of both spins plus J
+    fastest = max(abs(system.gamma_a + 1j * system.omega_a) + system.exchange
+                  + abs(system.gamma_b + 1j * system.omega_b),
+                  float(np.max(np.abs(omegas))))
+    longest = sc.pulse_efolds / (TWO_PI * narrowest) if narrowest > 0 else 0.0
+    if math.isinf(longest * TWO_PI * fastest):
+        raise ConfigError(f"pulse_efolds = {sc.pulse_efolds:g} makes pulses "
+                          f"of up to {longest:.3g} s, whose phase at the "
+                          f"fastest rate {fastest:.4g} Hz overflows")
+    # the wait decays every readout by about exp(-waited)
+    waited = (sc.dead_efolds * gamma / system.gamma_a
+              if system.gamma_a else 0.0)
+    if math.exp(-waited) == 0.0:
+        raise ConfigError(f"dead_efolds = {sc.dead_efolds:g} waits "
+                          f"{waited:.3g} e-folds of the line, which "
+                          "decays every readout to zero")
 
+    with _record_budget(sc, [len(omegas)], ("points",)):
         readouts = excite_and_readout(
             system, omegas, s3_amplitude=sc.signal_amplitude,
             pulse_efolds=sc.pulse_efolds, ramp=ramp,
@@ -382,8 +393,8 @@ def run_excitation_scan(bundle: Bundle) -> ScanResult:
                     f"noise_sigma = {sc.noise_sigma:g} is not below the "
                     f"largest noiseless readout {max(amps):.4g}; the fit "
                     "would see only rectified noise")
-            amps = [abs(amp + rng.normal(0.0, sc.noise_sigma))
-                    for amp, rng in zip(amps, rngs)]
+            amps = [abs(amp + _stream(sc.seed, i).normal(0.0, sc.noise_sigma))
+                    for i, amp in enumerate(amps)]
         peak = max(amps) or 1.0
         power = [(amp / peak) ** 2 for amp in amps]
 
@@ -428,15 +439,15 @@ def run_field_sweep(bundle: Bundle) -> ScanResult:
 
     centers, widths, contrasts, freqs, decays = [], [], [], [], []
     with _record_budget(sc, sizes, ("observe_efolds", "samples_per_cycle")):
-        for system, rng in zip(systems, _streams(sc.seed, len(systems))):
+        for i, system in enumerate(systems):
             centers.append(line_center(system))
             contrasts.append(line_shape(system, bundle.optics).contrast
                              if bundle.optics is not None else math.nan)
             res = magnetic_pulse_transient(
                 system, tilt_amplitude=sc.tilt_amplitude,
-                observe_efolds=sc.observe_efolds,
+                observe_efolds=sc.observe_efolds, noise_sigma=sc.noise_sigma,
                 samples_per_cycle=sc.samples_per_cycle,
-                noise_sigma=sc.noise_sigma, rng=rng)
+                rng=_stream(sc.seed, i) if sc.noise_sigma else None)
             widths.append(2.0 * res.formula_decay)
             freqs.append(res.fit.frequency)
             decays.append(res.fit.decay_rate)
@@ -476,8 +487,8 @@ def run_transient(bundle: Bundle) -> ScanResult:
         res = magnetic_pulse_transient(
             bundle.system, tilt_amplitude=sc.tilt_amplitude,
             observe_efolds=sc.observe_efolds,
-            samples_per_cycle=sc.samples_per_cycle,
-            noise_sigma=sc.noise_sigma, rng=_streams(sc.seed, 1)[0])
+            samples_per_cycle=sc.samples_per_cycle, noise_sigma=sc.noise_sigma,
+            rng=_stream(sc.seed, 0) if sc.noise_sigma else None)
     traj = res.trajectory
     fit = res.fit
 
@@ -529,7 +540,6 @@ def run_calibration(bundle: Bundle) -> ScanResult:
     sizes = [float(np.floor(duration * fs)) for fs in rates]
 
     with _record_budget(sc, sizes, ("samples_per_cycle",)):
-        rngs = _streams(sc.seed, sc.trials)
         # each field's grid and noiseless record serve every trial
         clean_records = []
         for omega_a, fs in zip(omegas, rates):
@@ -560,7 +570,8 @@ def run_calibration(bundle: Bundle) -> ScanResult:
 
         clean = dict(zip(CALIBRATION_COLUMNS[1:], one_trial(None)))
         table = _table(CALIBRATION_COLUMNS, range(sc.trials),
-                       *zip(*(one_trial(rng) for rng in rngs)))
+                       *zip(*(one_trial(_stream(sc.seed, i))
+                              for i in range(sc.trials))))
 
     extras = {
         "true_slope": true_g,

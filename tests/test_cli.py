@@ -47,6 +47,18 @@ def preset_sections():
     return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
+def hold_unreachable(patch, *names):
+    """Make each named attribute of nobleline.experiments fail the test
+    when it is called."""
+    import nobleline.experiments as experiments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a layer the run refuses before")
+
+    for name in names:
+        patch.setattr(experiments, name, unreachable)
+
+
 def _fresh_interpreter_stdout(script):
     """Run `script` in a new interpreter on this package; its stdout."""
     src = os.path.dirname(os.path.dirname(nobleline.__file__))
@@ -385,11 +397,11 @@ RECORD_KNOBS = ("observe_efolds (2)", "samples_per_cycle (32)")
     ("sweep-field", {}, "magnetic_pulse_transient", RECORD_KNOBS),
     ("transient", {}, "magnetic_pulse_transient", RECORD_KNOBS),
     ("calibrate", {}, "fit_decaying_sinusoid", ("samples_per_cycle (32)",)),
-    ("calibrate", {}, "_streams", ("samples_per_cycle (32)",)),
+    ("calibrate", {}, "_stream", ("samples_per_cycle (32)",)),
 ], ids=["spectrum-evaluate_spectrum", "spectrum-demodulated-evaluate_spectrum",
         "excite-excite_and_readout", "sweep-field-magnetic_pulse_transient",
         "transient-magnetic_pulse_transient",
-        "calibrate-fit_decaying_sinusoid", "calibrate-_streams"])
+        "calibrate-fit_decaying_sinusoid", "calibrate-_stream"])
 def test_out_of_memory_exits_config_in_one_line(tmp_path, capsys, monkeypatch,
                                                 command, scenario, layer,
                                                 knobs):
@@ -488,10 +500,12 @@ def test_bad_scenario_knob_exits_config(tmp_path, capsys, command, key,
     assert not (tmp_path / "out").exists()
 
 
-def test_ramp_too_long_for_the_widest_grid_point_exits_config(tmp_path,
-                                                              capsys):
+def test_ramp_too_long_for_the_widest_grid_point_exits_config(
+        tmp_path, capsys, monkeypatch):
     # passes the load-time check against line center, but the pulses above
-    # center are shorter than two such ramps
+    # center are shorter than two such ramps; the scan is refused before
+    # its budget, or any noise stream, is set up
+    hold_unreachable(monkeypatch, "_record_budget", "_stream")
     sections = preset_sections()
     sections["scenario"]["ramp_efolds"] = "1.49999"
     code = main(["excite", "--config", write_ini(tmp_path / "f.ini", sections),
@@ -583,11 +597,6 @@ def test_short_demodulation_window_exits_config_before_any_work(
     # used to exit 3 from heterodyne_extract, after the whole scan was
     # evaluated and its first record synthesized; a baseline point at zero
     # frequency has no window that works
-    import nobleline.experiments as experiments
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the scan ran before its window was checked")
-
     if scenario.get("baseline_halfwidths") == "ZERO":
         bundle = nobleline.load_config(preset_path())
         line = nobleline.line_shape(bundle.system, bundle.optics)
@@ -596,7 +605,8 @@ def test_short_demodulation_window_exits_config_before_any_work(
     sections["scenario"].update(method="demodulated", **scenario)
     out = tmp_path / "out"
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "evaluate_spectrum", unreachable)
+        hold_unreachable(patch, "evaluate_spectrum", "_record_budget",
+                         "_stream")
         code = main(["spectrum", "--config",
                      write_ini(tmp_path / "f.ini", sections), "--out",
                      str(out)])
@@ -679,14 +689,8 @@ def test_sweep_fields_beyond_the_rate_bound_exit_config_before_any_work(
     # 1e305 mG derives omega_a = 5.9e307 Hz, which ended in a LinAlgError
     # traceback; a field whose Larmor rate passes 1e100 Hz is refused as a
     # [system] rate would be, before any system is evolved or checked
-    import nobleline.experiments as experiments
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a field was run before the rate check")
-
-    for name in ("magnetic_pulse_transient", "transient_samples",
-                 "line_center"):
-        monkeypatch.setattr(experiments, name, unreachable)
+    hold_unreachable(monkeypatch, "magnetic_pulse_transient",
+                     "transient_samples", "line_center")
     sections = preset_sections()
     sections["scenario"]["fields"] = fields
     out = tmp_path / "out"
@@ -769,12 +773,16 @@ def test_near_degenerate_field_runs_without_any_warning(tmp_path, capsys,
      "too large to square"),
     ("spectrum", {"noise_sigma": "1e300", "method": "demodulated"},
      EXIT_VALIDITY, "too large to square"),
+    ("excite", {"pulse_efolds": "1e303"}, EXIT_CONFIG, "pulse_efolds"),
+    ("excite", {"pulse_efolds": "1e308"}, EXIT_CONFIG, "pulse_efolds"),
 ], ids=["excite-dead_efolds-1e308", "spectrum-baseline_halfwidths-1e308",
         "sweep-field-fields-1e-300", "excite-dead_efolds-1e7",
         "spectrum-baseline_halfwidths-1e12", "transient-tilt_amplitude-1e-300",
         "transient-tilt_amplitude-1e300", "spectrum-noise_sigma-1e300",
-        "spectrum-demodulated-noise_sigma-1e300"])
-def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
+        "spectrum-demodulated-noise_sigma-1e300", "excite-pulse_efolds-1e303",
+        "excite-pulse_efolds-1e308"])
+def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys,
+                                                    monkeypatch, command,
                                                     scenario, code, named):
     # the first three used to end in a traceback: a phase that overflowed to
     # NaN, an overflowing delta_a**2, and a slope whose square underflowed to
@@ -783,7 +791,14 @@ def test_extreme_finite_knobs_end_in_one_error_line(tmp_path, capsys, command,
     # three printed raw numpy warnings: a 1e-300 tilt's fit never moved and
     # exited 0 with infinite intervals; the other two overflowed in the fit
     # and exited 2. The demodulated spectrum's lock-in amplitude overflowed
-    # its square in an OverflowError traceback
+    # its square in an OverflowError traceback. A pulse of 1e303 e-folds
+    # overflowed its phase in the engine: raw numpy warnings, then exit 3
+    # from the fit. Excite's refusals come before its budget and its
+    # engine, and a run without noise makes no noise stream
+    if command == "excite":
+        hold_unreachable(monkeypatch, "_record_budget", "excite_and_readout")
+    if "noise_sigma" not in scenario:
+        hold_unreachable(monkeypatch, "_stream")
     sections = preset_sections()
     sections["scenario"].update(scenario)
     out = tmp_path / "out"
@@ -809,20 +824,23 @@ PAIR_1E90 = {"exchange_ab": "1e90", "exchange_ba": "1e90"}
     ("transient", {"gamma_a": "1e200"}, EXIT_CONFIG, "gamma_a"),
     ("derive-params", PAIR_1E200, EXIT_CONFIG, "exchange_ab"),
     ("spectrum", {"omega_b": "1e20"}, EXIT_VALIDITY, "undamped slow mode"),
+    ("transient", {"omega_b": "1e20"}, EXIT_VALIDITY,
+     "undamped slow mode: its exact decay is -0 Hz, which no width matches"),
     ("excite", PAIR_1E90, EXIT_VALIDITY, "did not converge"),
     ("derive-params", PAIR_1E90, EXIT_VALIDITY, "did not converge"),
 ], ids=["check-config-gamma_a-1e200", "derive-params-omega_a-1e200",
         "spectrum-omega_b-1e200", "excite-exchange-1e200",
         "transient-gamma_a-1e200", "derive-params-exchange-1e200",
-        "spectrum-omega_b-1e20", "excite-exchange-1e90",
-        "derive-params-exchange-1e90"])
+        "spectrum-omega_b-1e20", "transient-omega_b-1e20",
+        "excite-exchange-1e90", "derive-params-exchange-1e90"])
 def test_extreme_rates_end_in_one_error_line(tmp_path, capsys, command,
                                              system, code, named):
     # a rate whose square overflowed ended in an OverflowError traceback,
     # and a 1e200 exchange pair in a ZeroDivisionError one (derive-params
     # printed Infinity and NaN with exit 0); rates past 1e100 Hz are now
     # refused at load. Below that, a slow mode that loses its decay to
-    # rounding divided by zero, and a line center that ran off overflowed
+    # rounding divided by zero, and a line center that ran off overflowed.
+    # Transient refuses that slow mode with spectrum's line
     sections = preset_sections()
     sections["system"].update(system)
     argv = [command, "--config", write_ini(tmp_path / "f.ini", sections)]
@@ -849,12 +867,7 @@ def test_excite_refuses_noise_above_every_readout(tmp_path, capsys,
     # the preset's readouts peak at 4.58e-19 (3.77e-19 ramped), so absolute
     # noise of 0.01 left the dip fit only rectified noise: it exited 0 with
     # a width of noise, or, on 7 points at seed 3, spent its whole budget
-    import nobleline.experiments as experiments
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the fit ran on rectified noise")
-
-    monkeypatch.setattr(experiments, "fit_inverted_lorentzian", unreachable)
+    hold_unreachable(monkeypatch, "fit_inverted_lorentzian")
     sections = preset_sections()
     sections["scenario"].update(scenario)
     out = tmp_path / "out"
@@ -907,14 +920,8 @@ def test_unresolved_scan_exits_config_before_any_work(
     # a core far coarser than the line used to burn the dip fit's whole
     # budget before exit 2; a zero span collapsed the core to one point, and
     # a negative one silently ran the positive grid
-    import nobleline.experiments as experiments
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the scan ran before its grid was checked")
-
-    for name in ("evaluate_spectrum", "excite_and_readout",
-                 "fit_inverted_lorentzian"):
-        monkeypatch.setattr(experiments, name, unreachable)
+    hold_unreachable(monkeypatch, "evaluate_spectrum", "excite_and_readout",
+                     "fit_inverted_lorentzian")
     sections = preset_sections()
     sections["scenario"].update(scenario)
     out = tmp_path / "out"

@@ -11,7 +11,7 @@ import pytest
 from nobleline.config import load_config, preset_path, scenario_with
 from nobleline.experiments import (CALIBRATION_COLUMNS, EXCITE_COLUMNS,
                                    SPECTRUM_COLUMNS, SWEEP_COLUMNS,
-                                   ScanResult, run_calibration,
+                                   ScanResult, _stream, run_calibration,
                                    run_excitation_scan, run_field_sweep,
                                    run_scenario, run_spectrum_scan,
                                    run_transient)
@@ -187,6 +187,50 @@ def test_out_of_memory_reaches_python_callers_as_config_error(preset_bundle,
                        r"record holds up to 4\.478e\+04 samples; lower "
                        r"observe_efolds \(2\) or samples_per_cycle \(32\)$"):
         run_scenario(with_scenario(preset_bundle, name="transient"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63])
+def test_stream_is_the_spawned_child_bit_for_bit(seed):
+    # each stream is made at its draw; it must be the generator that
+    # spawning every child up front gives, whatever the number spawned
+    for n in (1, 2, 7, 200):
+        children = np.random.SeedSequence(seed).spawn(n)
+        for i in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+            want = np.random.default_rng(children[i])
+            got = _stream(seed, i)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.normal(size=64).tobytes() \
+                == want.normal(size=64).tobytes()
+
+
+SHORT_SWEEP = {"fields": (4.0, 5.0, 6.1), "observe_efolds": 0.3,
+               "samples_per_cycle": 8.0}
+
+
+@pytest.mark.parametrize("runner, scenario, made", [
+    (run_spectrum_scan, {}, 0),
+    (run_spectrum_scan, {"method": "demodulated"}, 0),
+    (run_excitation_scan, {"points": 11}, 0),
+    (run_field_sweep, SHORT_SWEEP, 0),
+    (run_transient, {"observe_efolds": 0.3}, 0),
+    (run_spectrum_scan, {"points": 11, "noise_sigma": 0.01}, 19),
+    (run_calibration, {"trials": 3, "samples_per_cycle": 8.0}, 3),
+], ids=["spectrum", "spectrum-demodulated", "excite", "sweep-field",
+        "transient", "spectrum-noisy", "calibrate"])
+def test_a_run_makes_a_generator_only_where_it_draws_noise(
+        preset_bundle, monkeypatch, runner, scenario, made):
+    # calibrate's trials are always noisy; a noisy scan draws one stream a
+    # point (11 core and 8 baseline points here)
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    runner(with_scenario(preset_bundle, **scenario))
+    assert len(calls) == made
 
 
 def test_runner_records_the_scenario_it_ran(preset_bundle):

@@ -24,7 +24,7 @@ each at seeds 1 and 20260819, three files per run: 14 cases, 84 files
 per side.
 It also compares each side's stdout of `check-config` and `derive-params`
 on the packaged preset, and of `derive-params` on the preset with [optics]
-removed (no line and no optics block). Last come eight refusals, each run
+removed (no line and no optics block). Last come nine refusals, each run
 once, whose exit code and stderr line must match byte for byte:
 
 - transient with observe_efolds = 1e12 (a record over the cap);
@@ -32,8 +32,9 @@ once, whose exit code and stderr line must match byte for byte:
   that overflows);
 - demodulated spectrum with demod_periods = 2.5 (too short a window) and
   with samples_per_cycle = 4.01 (undersampled);
-- excite with points = 5 and span_halfwidths = 1e6 (an unresolved line)
-  and with dead_efolds = 1e308 (every readout decays to zero);
+- excite with points = 5 and span_halfwidths = 1e6 (an unresolved line),
+  with dead_efolds = 1e308 (every readout decays to zero) and with
+  pulse_efolds = 1e303 (a pulse whose phase overflows);
 - transient at [magnetics] field = 2.3837837837837834 mG, where
   omega_a = 0 (a 7.41 % width gap, exit 3).
 
@@ -108,6 +109,7 @@ REFUSALS = {
     "excite_unresolved": ("excite", {"points": "5",
                                      "span_halfwidths": "1e6"}),
     "excite_dead_efolds": ("excite", {"dead_efolds": "1e308"}),
+    "excite_pulse_efolds": ("excite", {"pulse_efolds": "1e303"}),
     "transient_width_gap": ("transient", {}),
 }
 
