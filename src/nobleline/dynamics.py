@@ -108,25 +108,30 @@ class _Modes:
         return self._shifted[1:]
 
     def particular(self, amplitudes, omegas) -> np.ndarray:
-        """Particular solutions u+ e^{-i W t} + u- e^{+i W t} as u[0], u[1]:
-        a row per amplitude (zero for 0), each driven at its own entry of
-        omegas (or at one shared frequency), each row its own LAPACK solve."""
+        """Particular solutions u+ e^{-i W t} + u- e^{+i W t} as u[0], u[1],
+        each (K, P, 2): entry (k, p) driven at amplitudes[k, p] and omegas[p]
+        (or one shared frequency), exactly +0.0 where undriven. One LAPACK
+        solve per frequency against its K right-hand sides, each column bit
+        for bit its own one-column solve."""
         amps = np.asarray(amplitudes, dtype=complex)
-        u = np.zeros((2, amps.size, 2), dtype=complex)
+        u = np.zeros((2, *amps.shape, 2), dtype=complex)
         driven = amps != 0
-        if not driven.any():
+        rows = driven.any(axis=0)
+        if not rows.any():
             return u
         regular, shifted = self._shift(np.broadcast_to(
-            np.asarray(omegas, dtype=float), amps.shape))
-        if not regular[driven].all():
+            np.asarray(omegas, dtype=float), rows.shape))
+        if not regular[rows].all():
             raise ValidityError(
                 "drive frequency sits (numerically) on an undamped eigenmode;"
                 " the steady response is unbounded")
-        d = np.zeros((2, driven.sum(), 2, 1), dtype=complex)
-        d[0, :, 0, 0] = 1j * TWO_PI * self.drive_coeff * amps[driven] / 2.0
-        d[1, :, 0, 0] = (1j * TWO_PI * self.drive_coeff
-                         * np.conj(amps[driven]) / 2.0)
-        u[:, driven] = np.linalg.solve(shifted[:, driven], -d)[..., 0]
+        a = amps[:, rows]
+        d = np.zeros((2, a.shape[1], 2, a.shape[0]), dtype=complex)
+        d[0, :, 0] = (1j * TWO_PI * self.drive_coeff * a / 2.0).T
+        d[1, :, 0] = (1j * TWO_PI * self.drive_coeff * np.conj(a) / 2.0).T
+        u[:, :, rows] = np.linalg.solve(shifted[:, rows],
+                                        -d).transpose(0, 3, 1, 2)
+        u[:, ~driven] = 0.0
         return u
 
 
@@ -195,63 +200,77 @@ class Segment:
 
 
 RAMP_SUBSTEPS = 64
+#: the raised cosine at the substeps' midpoints on the rising and the
+#: falling edge
+_RISE, _FALL = (np.array([0.5 * (1.0 + sign * math.cos(
+    math.pi * (k + 0.5) / RAMP_SUBSTEPS)) for k in range(RAMP_SUBSTEPS)])
+    for sign in (-1.0, 1.0))
 
 
 def _expand_ramps(durations, amplitude, omegas, ramp: float):
     """Split segments that share an amplitude and a ramp, one per entry of
-    durations and omegas, into constant-amplitude stretches, one stretch
-    index at a time: yields (durations, amplitudes) of shape (P,), each
-    amplitude phased to its stretch's start so the drive stays continuous
-    across substeps. Raised-cosine edges are midpoint-sampled; a row whose
-    flat top is empty gets duration 0 there, and a flat top empty in every
-    row is not yielded."""
-    def phased(amp, offsets):
-        out = np.full(durations.shape, amp, dtype=complex)
-        if np.any(offsets):     # else a stretch at the segment's start
-            # the unfused product of a lone complex scalar: numpy's array
-            # product fuses it and rounds differently
-            phase = np.exp(-1j * TWO_PI * omegas * offsets)
-            a = complex(amp)
-            out.real = a.real * phase.real - a.imag * phase.imag
-            out.imag = a.real * phase.imag + a.imag * phase.real
+    durations and omegas, into runs of equal-length constant-amplitude
+    stretches: yields (durations (P,), amplitudes (K, P)) per run, a
+    raised-cosine edge's RAMP_SUBSTEPS midpoint-sampled substeps or one
+    flat top (K = 1). Each amplitude is phased to its stretch's start, so
+    the drive stays continuous across substeps, all K of a run in one array
+    expression; a stretch at the segment's start stays unphased. A row
+    whose flat top is empty gets duration 0 there, and a flat top empty in
+    every row is not yielded."""
+    def phased(amps, offsets):
+        out = np.empty((amps.size, *durations.shape), dtype=complex)
+        out[:] = amps[:, np.newaxis]
+        moved = offsets.any(axis=1)     # else at the segment's start
+        if moved.any():
+            # the unfused product of each complex amplitude: numpy's complex
+            # array product fuses it and rounds differently
+            phase = np.exp(-1j * TWO_PI * omegas * offsets[moved])
+            a = amps[moved, np.newaxis]
+            out.real[moved] = a.real * phase.real - a.imag * phase.imag
+            out.imag[moved] = a.real * phase.imag + a.imag * phase.real
         return out
 
     if ramp == 0.0:
-        yield durations, phased(amplitude, 0.0)
+        yield durations, phased(np.array([amplitude]), np.zeros((1, 1)))
         return
     step = ramp / RAMP_SUBSTEPS
+    offsets = (np.arange(RAMP_SUBSTEPS) * step)[:, np.newaxis]
     h = np.full(durations.shape, step)
-    for k in range(RAMP_SUBSTEPS):  # rising edge
-        env = 0.5 * (1.0 - math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
-        yield h, phased(amplitude * env, k * step)
+    yield h, phased(amplitude * _RISE, offsets)
     flat = durations - 2.0 * ramp
     if (flat > 0).any():
-        yield flat, phased(amplitude, ramp)
-    for k in range(RAMP_SUBSTEPS):
-        env = 0.5 * (1.0 + math.cos(math.pi * (k + 0.5) / RAMP_SUBSTEPS))
-        yield h, phased(amplitude * env, durations - ramp + k * step)
+        yield flat, phased(np.array([amplitude]), np.array([[ramp]]))
+    yield h, phased(amplitude * _FALL, durations - ramp + offsets)
 
 
-def _advance(modes: _Modes, states, times, amplitudes, omegas) -> np.ndarray:
-    """Carry a leading axis of states through one constant-amplitude
-    stretch each, by the exact eigenmode solution: row p of states (P, 2)
-    is driven at amplitudes[p] and omegas[p] and sampled at times[p], the
-    (n,) times since the stretch's start, the last of them its end. Returns
-    the (P, n, 2) samples. Every row runs the arithmetic of a lone state,
-    in the same order: the stacked matmuls take one 2x2 product per row."""
+def _advance(modes: _Modes, states, times, amplitudes, omegas) -> list:
+    """Carry a leading axis of states through a run of K equal-length
+    constant-amplitude stretches by the exact eigenmode solution: row p of
+    states (P, 2) is driven at amplitudes[k, p] and omegas[p] in stretch k
+    and sampled at times[p], the (n,) times since each stretch's start, the
+    last of them its end. Returns the K (P, n, 2) sample arrays. The decay
+    and drive phases, equal in every stretch, are taken once; every row
+    runs the arithmetic of a lone state, in the same order: the stacked
+    matmuls take one 2x2 product per row."""
     u_plus, u_minus = modes.particular(amplitudes, omegas)
-    coeffs = modes.inverse @ (states - (u_plus + u_minus))[..., np.newaxis]
     decay = np.exp(times[..., np.newaxis] * modes.eigvals)
-    ys = decay * coeffs[:, np.newaxis, :, 0] @ modes.vectors.T
     driven = amplitudes != 0    # an undriven row has no particular solution
     if driven.any():
         w = TWO_PI * omegas[:, np.newaxis]
-        np.add(ys, np.exp(-1j * w * times)[..., np.newaxis]
-               * u_plus[:, np.newaxis]
-               + np.exp(1j * w * times)[..., np.newaxis]
-               * u_minus[:, np.newaxis],
-               out=ys, where=driven[:, np.newaxis, np.newaxis])
-    return ys
+        waves = (np.exp(-1j * w * times)[..., np.newaxis],
+                 np.exp(1j * w * times)[..., np.newaxis])
+    samples = []
+    for k in range(len(amplitudes)):
+        coeffs = (modes.inverse
+                  @ (states - (u_plus[k] + u_minus[k]))[..., np.newaxis])
+        ys = decay * coeffs[:, np.newaxis, :, 0] @ modes.vectors.T
+        if driven[k].any():
+            np.add(ys, waves[0] * u_plus[k][:, np.newaxis]
+                   + waves[1] * u_minus[k][:, np.newaxis],
+                   out=ys, where=driven[k][:, np.newaxis, np.newaxis])
+        samples.append(ys)
+        states = ys[:, -1]
+    return samples
 
 
 def evolve_exact(system: SystemParams, segments,
@@ -286,11 +305,11 @@ def evolve_exact(system: SystemParams, segments,
                     t_loc[-1] = dur
             else:
                 t_loc = np.array([dur])
-            ys = _advance(modes, state, t_loc[np.newaxis], amps, omegas)
+            for ys in _advance(modes, state, t_loc[np.newaxis], amps, omegas):
+                ts_out.append(t_base + t_loc)
+                ys_out.append(ys[0])
+                t_base += dur
             state = ys[:, -1]
-            ts_out.append(t_base + t_loc)
-            ys_out.append(ys[0])
-            t_base += dur
     t = np.concatenate(ts_out)
     y = np.concatenate(ys_out, axis=0)
     return SpinTrajectory(times=t, f=y[:, 0], r=y[:, 1])
@@ -334,9 +353,9 @@ def exact_linear_response(system: SystemParams, s3_amplitude: complex,
     driven segment, rescaled to the SidebandResponse normalization. Raises
     ValidityError when the drive sits on an undamped eigenmode.
     """
-    u_plus, u_minus = _Modes(system).particular([s3_amplitude], omega)
-    f_plus, r_plus = 2.0 * u_plus[0]
-    f_minus, r_minus = 2.0 * u_minus[0]
+    u_plus, u_minus = _Modes(system).particular([[s3_amplitude]], omega)
+    f_plus, r_plus = 2.0 * u_plus[0, 0]
+    f_minus, r_minus = 2.0 * u_minus[0, 0]
     return SidebandResponse(omega=omega, f_plus=complex(f_plus),
                             r_plus=complex(r_plus), f_minus=complex(f_minus),
                             r_minus=complex(r_minus))
@@ -387,7 +406,7 @@ def excite_and_readout(system: SystemParams, omegas=None,
         for durs, amps in _expand_ramps(durations, amplitude, omegas, edge):
             # a row with an empty flat top skips that stretch
             states = np.where((durs > 0)[:, np.newaxis], _advance(
-                modes, states, durs[:, np.newaxis], amps, omegas)[:, -1],
+                modes, states, durs[:, np.newaxis], amps, omegas)[-1][:, -1],
                 states)
     return states[:, 1]
 

@@ -167,12 +167,12 @@ def test_evolve_exact_particular_singular_raises():
     with pytest.raises(ValidityError):
         evolve_exact(sys, [Segment(duration=1.0, amplitude=1.0 + 0.0j,
                                    omega=105.0, ramp=0.2)], (0j, 0j))
-    # one driven row is enough to raise; an undriven batch has no response
+    # one driven entry is enough to raise; an undriven block has no response
     modes = _Modes(sys)
     with pytest.raises(ValidityError):
-        modes.particular([0.0, 0.0j, 1e-3], 105.0)
-    for u in modes.particular([0.0, 0.0j], 105.0):
-        assert u.shape == (2, 2) and not u.any()
+        modes.particular([[0.0], [0.0j], [1e-3]], 105.0)
+    for u in modes.particular([[0.0], [0.0j]], 105.0):
+        assert u.shape == (2, 1, 2) and not u.any()
 
 
 def _solve_one(modes, amplitude, omega):
@@ -189,16 +189,27 @@ def _solve_one(modes, amplitude, omega):
 
 
 def test_particular_batch_matches_one_solve_per_amplitude():
-    # a drive coefficient other than 1 makes the rounding order matter
+    # a (K, P) block of substeps over distinct frequencies: one solve per
+    # frequency against K right-hand sides must keep each entry's bits. A
+    # drive coefficient other than 1 makes the rounding order matter; the
+    # third frequency is undriven in every substep
     modes = _Modes(fast_system(tilt_coeff=0.37, alkali_polarization=0.7))
-    amps = [0.0, 0.7, 0.0j, -0.3 + 0.4j, 2.5e-4j, 1.0 + 0.0j,
-            np.complex128(-0.9 - 1e-3j)]
-    u_plus, u_minus = modes.particular(amps, 31.0)
-    assert u_plus.shape == u_minus.shape == (len(amps), 2)
-    for k, amp in enumerate(amps):
-        plus, minus = _solve_one(modes, amp, 31.0)
-        assert u_plus[k].tobytes() == plus.tobytes(), amp
-        assert u_minus[k].tobytes() == minus.tobytes(), amp
+    omegas = np.array([31.0, 27.25, 40.0, -12.5])
+    amps = np.array([[0.0, 0.7, 0.0, -0.3 + 0.4j],
+                     [2.5e-4j, 0.0j, 0.0, 1.0 + 0.0j],
+                     [-0.9 - 1e-3j, 1e-300 - 3.0j, 0.0j, 0.0],
+                     [0.5 - 0.0j, -2.0 + 1e5j, 0.0, 7e-9 + 7e-9j],
+                     [0.0, 0.0, 0.0j, 0.0j]])
+    u_plus, u_minus = modes.particular(amps, omegas)
+    assert u_plus.shape == u_minus.shape == (*amps.shape, 2)
+    for (k, p), amp in np.ndenumerate(amps):
+        plus, minus = _solve_one(modes, amp, omegas[p])
+        assert u_plus[k, p].tobytes() == plus.tobytes(), (k, p)
+        assert u_minus[k, p].tobytes() == minus.tobytes(), (k, p)
+    undriven = amps == 0
+    for u in (u_plus, u_minus):
+        assert not u[undriven].any() and not np.signbit(u[undriven].real).any()
+        assert not np.signbit(u[undriven].imag).any()
 
 
 def _substeps(seg):
@@ -353,6 +364,74 @@ def test_excite_scan_matches_one_evolution_per_point(ramp_share):
                                    Segment(dead)], (0j, 0j)).final_state[1]
                 for pulse, omega in zip(pulses, omegas.tolist())]
     assert readouts.tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_a=st.floats(60.0, 600.0), omega_b=st.floats(-40.0, 40.0),
+       gamma_a=st.floats(3.0, 40.0), gamma_b=st.floats(0.2, 3.0),
+       j=st.floats(0.5, 8.0), ratio=st.floats(0.3, 3.0),
+       coeff=st.floats(0.1, 2.0),
+       detunings=st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=5),
+       s3=st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
+                             allow_nan=False, allow_infinity=False),
+       ramp_share=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+       sample_rate=st.sampled_from([None, 300.0, 4000.0]))
+def test_batched_engine_matches_per_substep_evolution(
+        omega_a, omega_b, gamma_a, gamma_b, j, ratio, coeff, detunings, s3,
+        ramp_share, sample_rate):
+    # each run of equal-length stretches (an edge's substeps, a flat top)
+    # takes one solve and one set of exponentials; the readouts of a scan
+    # and a sampled evolution must still keep the bits of the evolution
+    # written out one stretch at a time. At ramp_share 0.5 the shortest
+    # pulse is all edge
+    sys = fast_system(omega_a=omega_a, omega_b=omega_b, gamma_a=gamma_a,
+                      gamma_b=gamma_b, exchange_ab=j * ratio,
+                      exchange_ba=j / ratio, tilt_coeff=coeff)
+    omegas = line_center(sys) + np.array(detunings)
+    widths = [hybrid_linewidth(sys, o - sys.omega_a) for o in omegas.tolist()]
+    assume(min(widths) > 0)
+    pulse_efolds, dead_efolds = 0.5, 2.0
+    pulses = [pulse_efolds / (TWO_PI * width) for width in widths]
+    ramp = ramp_share * min(pulses)
+    dead = dead_efolds / (TWO_PI * sys.gamma_a)
+    readouts = excite_and_readout(sys, omegas, s3_amplitude=s3,
+                                  pulse_efolds=pulse_efolds, ramp=ramp,
+                                  dead_efolds=dead_efolds)
+    expected = [_evolve_per_substep(sys, [Segment(pulse, s3, omega, ramp),
+                                          Segment(dead)], (0j, 0j),
+                                    None)[1][-1, 1]
+                for pulse, omega in zip(pulses, omegas.tolist())]
+    assert readouts.tobytes() == np.array(expected).tobytes()
+    segments = [Segment(pulses[0], s3, float(omegas[0]), ramp),
+                Segment(dead)]
+    initial = (0.1 - 0.2j, -0.3 + 0.05j)
+    traj = evolve_exact(sys, segments, initial, sample_rate=sample_rate)
+    times, ys = _evolve_per_substep(sys, segments, initial, sample_rate)
+    assert traj.times.tobytes() == times.tobytes()
+    for name, column in (("f", ys[:, 0]), ("r", ys[:, 1])):
+        assert getattr(traj, name).tobytes() == column.tobytes(), name
+
+
+def test_ramped_scan_solves_once_per_run_of_stretches(preset_bundle,
+                                                      monkeypatch):
+    # a ramped scan solves for its particular solutions once per edge and
+    # once for the flat top, whatever its grid: three solves, where one
+    # per substep made 129
+    from nobleline.config import scenario_with
+    from nobleline.experiments import run_scenario
+
+    solve, solves = np.linalg.solve, []
+
+    def counted(a, b):
+        solves.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    scenario = scenario_with(preset_bundle.scenario, name="excite",
+                             ramp_efolds=0.5, points=9)
+    run_scenario(replace(preset_bundle, scenario=scenario))
+    assert sorted(shape[-1] for shape in solves) == [1, RAMP_SUBSTEPS,
+                                                     RAMP_SUBSTEPS]
 
 
 def test_excite_scan_builds_its_modes_once(preset_bundle, monkeypatch):

@@ -428,13 +428,34 @@ def test_factor_matches_numpy_svd(problem):
     # V diag(s / (s^2 + alpha)) U^T f, at two Levenberg-Marquardt alphas
     J, f = problem()
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    R, qtf = signals._factor(np.asfortranarray(np.column_stack([J, f])))
+    block = np.asfortranarray(np.column_stack([J, f]))
+    R, qtf = signals._factor(block, *signals._qr_workspace(block))
     U_R, s_R, Vt_R = np.linalg.svd(R)
     assert np.allclose(s_R, s, rtol=1e-13, atol=1e-15 * s[0])
     for alpha in (1e-6 * s[0]**2, s[0]**2):
         want = Vt.T.dot(s * U.T.dot(f) / (s**2 + alpha))
         got = Vt_R.T.dot(s_R * U_R.T.dot(qtf) / (s_R**2 + alpha))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("rows", [5, 49, 1_800, 44_781])
+@pytest.mark.parametrize("columns", [5, 6])
+def test_factor_in_place_matches_numpy_qr_gufunc(rows, columns):
+    # dgeqrf on the block's own memory must give the bits of numpy's QR
+    # gufunc, which runs the same LAPACK routine on a copy of the block
+    from numpy.linalg import _umath_linalg
+
+    rng = np.random.default_rng(rows)
+    J = rng.normal(size=(rows, columns - 1)) * np.logspace(0, 6, columns - 1)
+    block = np.asfortranarray(np.column_stack([J, rng.normal(size=rows)]))
+    copy = block.copy(order="F")
+    _umath_linalg.qr_r_raw(copy, signature="d->d")
+    want = np.zeros((columns - 1, columns))
+    want[:rows] = np.triu(copy[:columns - 1])
+    R, qtf = signals._factor(block, *signals._qr_workspace(block))
+    assert block.tobytes() == copy.tobytes()
+    assert R.tobytes() == want[:, :-1].tobytes()
+    assert qtf.tobytes() == want[:, -1].tobytes()
 
 
 # 0.975 quantiles to 30 digits, from mpmath 1.3's regularized incomplete beta
