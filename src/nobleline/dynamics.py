@@ -205,18 +205,22 @@ RAMP_SUBSTEPS = 64
 _RISE, _FALL = (np.array([0.5 * (1.0 + sign * math.cos(
     math.pi * (k + 0.5) / RAMP_SUBSTEPS)) for k in range(RAMP_SUBSTEPS)])
     for sign in (-1.0, 1.0))
+#: the most (substep, row) entries of one run: an edge over many rows is
+#: cut into runs of fewer substeps, so a run's arrays stay a few MB
+_RUN_ENTRIES = 2 ** 16
 
 
 def _expand_ramps(durations, amplitude, omegas, ramp: float):
     """Split segments that share an amplitude and a ramp, one per entry of
     durations and omegas, into runs of equal-length constant-amplitude
-    stretches: yields (durations (P,), amplitudes (K, P)) per run, a
-    raised-cosine edge's RAMP_SUBSTEPS midpoint-sampled substeps or one
-    flat top (K = 1). Each amplitude is phased to its stretch's start, so
-    the drive stays continuous across substeps, all K of a run in one array
-    expression; a stretch at the segment's start stays unphased. A row
-    whose flat top is empty gets duration 0 there, and a flat top empty in
-    every row is not yielded."""
+    stretches: yields (durations (P,), amplitudes (K, P)) per run, K
+    consecutive midpoint-sampled substeps of a raised-cosine edge (all
+    RAMP_SUBSTEPS, or fewer so that K * P <= _RUN_ENTRIES) or one flat top
+    (K = 1). Each amplitude is phased to its stretch's start, so the drive
+    stays continuous across substeps, all K of a run in one expression; a
+    stretch at the segment's start stays unphased. A row whose flat top is
+    empty gets duration 0 there, and a flat top empty in every row is not
+    yielded."""
     def phased(amps, offsets):
         out = np.empty((amps.size, *durations.shape), dtype=complex)
         out[:] = amps[:, np.newaxis]
@@ -236,19 +240,24 @@ def _expand_ramps(durations, amplitude, omegas, ramp: float):
     step = ramp / RAMP_SUBSTEPS
     offsets = (np.arange(RAMP_SUBSTEPS) * step)[:, np.newaxis]
     h = np.full(durations.shape, step)
-    yield h, phased(amplitude * _RISE, offsets)
+    k = max(1, _RUN_ENTRIES // durations.size)
+    runs = [slice(i, i + k) for i in range(0, RAMP_SUBSTEPS, k)]
+    rise, fall = amplitude * _RISE, amplitude * _FALL
+    yield from ((h, phased(rise[run], offsets[run])) for run in runs)
     flat = durations - 2.0 * ramp
     if (flat > 0).any():
         yield flat, phased(np.array([amplitude]), np.array([[ramp]]))
-    yield h, phased(amplitude * _FALL, durations - ramp + offsets)
+    yield from ((h, phased(fall[run], durations - ramp + offsets[run]))
+                for run in runs)
 
 
-def _advance(modes: _Modes, states, times, amplitudes, omegas) -> list:
+def _advance(modes: _Modes, states, times, amplitudes, omegas):
     """Carry a leading axis of states through a run of K equal-length
     constant-amplitude stretches by the exact eigenmode solution: row p of
     states (P, 2) is driven at amplitudes[k, p] and omegas[p] in stretch k
     and sampled at times[p], the (n,) times since each stretch's start, the
-    last of them its end. Returns the K (P, n, 2) sample arrays. The decay
+    last of them its end. Yields each stretch's (P, n, 2) samples in turn,
+    so a caller that reads only the end holds one stretch's. The decay
     and drive phases, equal in every stretch, are taken once; every row
     runs the arithmetic of a lone state, in the same order: the stacked
     matmuls take one 2x2 product per row."""
@@ -259,7 +268,6 @@ def _advance(modes: _Modes, states, times, amplitudes, omegas) -> list:
         w = TWO_PI * omegas[:, np.newaxis]
         waves = (np.exp(-1j * w * times)[..., np.newaxis],
                  np.exp(1j * w * times)[..., np.newaxis])
-    samples = []
     for k in range(len(amplitudes)):
         coeffs = (modes.inverse
                   @ (states - (u_plus[k] + u_minus[k]))[..., np.newaxis])
@@ -268,9 +276,8 @@ def _advance(modes: _Modes, states, times, amplitudes, omegas) -> list:
             np.add(ys, waves[0] * u_plus[k][:, np.newaxis]
                    + waves[1] * u_minus[k][:, np.newaxis],
                    out=ys, where=driven[k][:, np.newaxis, np.newaxis])
-        samples.append(ys)
+        yield ys
         states = ys[:, -1]
-    return samples
 
 
 def evolve_exact(system: SystemParams, segments,
@@ -404,10 +411,11 @@ def excite_and_readout(system: SystemParams, omegas=None,
     states = np.zeros((omegas.size, 2), dtype=complex)
     for durations, amplitude, edge in segments:
         for durs, amps in _expand_ramps(durations, amplitude, omegas, edge):
+            for ys in _advance(modes, states, durs[:, np.newaxis], amps,
+                               omegas):
+                pass    # only the run's end is read
             # a row with an empty flat top skips that stretch
-            states = np.where((durs > 0)[:, np.newaxis], _advance(
-                modes, states, durs[:, np.newaxis], amps, omegas)[-1][:, -1],
-                states)
+            states = np.where((durs > 0)[:, np.newaxis], ys[:, -1], states)
     return states[:, 1]
 
 

@@ -197,28 +197,21 @@ def _more_step(uf, s, V, full_rank, Delta, alpha):
     return p, alpha
 
 
-def _factor(block: np.ndarray, tau: np.ndarray, work: np.ndarray):
+def _factor(block: np.ndarray):
     """(R, Q^T f) of J = Q R from one Householder QR of the Fortran-ordered
     block [J | f] of k + 1 columns, in place: LAPACK's dgeqrf runs on the
-    block's own memory (its C-ordered transpose), with the reflector
-    scalars in tau and the workspace work that the caller holds, so no
-    record-sized buffer is copied or allocated. Returns the k x k triangle
-    and k entries of Q^T f, zero-padded below when J has fewer than k rows.
-    J^T f = R^T Q^T f."""
+    block's own memory (its C-ordered transpose), with a workspace of the
+    size its query asks for, so no record-sized buffer is copied or
+    allocated. Returns the k x k triangle and k entries of Q^T f,
+    zero-padded below when J has fewer than k rows. J^T f = R^T Q^T f."""
     m, n = block.shape
+    tau, work = np.empty(n), np.empty(1)
+    lapack_lite.dgeqrf(m, n, block.T, m, tau, work, -1, 0)
+    work = np.empty(int(work[0]))
     lapack_lite.dgeqrf(m, n, block.T, m, tau, work, work.size, 0)
     top = np.zeros((n - 1, n))
     top[:block.shape[0]] = np.triu(block[:len(top)])
     return top[:, :-1], top[:, -1]
-
-
-def _qr_workspace(block: np.ndarray):
-    """(tau, work) for _factor on blocks of block's shape: room for the
-    reflector scalars and the workspace size dgeqrf asks for."""
-    m, n = block.shape
-    tau, work = np.empty(n), np.empty(1)
-    lapack_lite.dgeqrf(m, n, block.T, m, tau, work, -1, 0)
-    return tau, np.empty(int(work[0]))
 
 
 def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
@@ -234,9 +227,8 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
     same iteration, rounded otherwise, so x matches scipy's to the
     optimizer's floor, not bit for bit. jac(p, out) fills the first k
     columns of the one (m, k + 1) block the loop owns, which each QR
-    overwrites in place, with the one tau and work of _qr_workspace; njev
-    counts the
-    Jacobians evaluated, without scipy's one after the terminating step.
+    overwrites in place; njev counts the Jacobians evaluated, without
+    scipy's one after the terminating step.
     Raises FitConvergenceError when the residual at x0 is not finite, a
     Jacobian is not finite, or the evaluation budget runs out.
     """
@@ -247,12 +239,11 @@ def _trf(resid, x0, jac, label: str) -> tuple[np.ndarray, int, int]:
                                   "finite in the initial point.", last_params=x)
     m, n = f.size, x.size
     block = np.empty((m, n + 1), order="F")
-    tau, work = _qr_workspace(block)
 
     def factored(x, f):
         jac(x, block[:, :n])
         block[:, n] = f
-        R, qtf = _factor(block, tau, work)
+        R, qtf = _factor(block)
         return R, qtf, R.T.dot(qtf)
 
     R, qtf, g = factored(x, f)

@@ -412,11 +412,45 @@ def test_batched_engine_matches_per_substep_evolution(
         assert getattr(traj, name).tobytes() == column.tobytes(), name
 
 
+@pytest.mark.parametrize("substeps", [1, 5, 63])
+def test_wide_scan_cuts_its_edges_into_bounded_runs(substeps, monkeypatch):
+    # a grid too wide for a whole edge in one run takes its substeps a few
+    # at a time, so no solve holds more than _RUN_ENTRIES entries; each
+    # readout keeps the bits of that point's own evolve_exact run
+    import nobleline.dynamics as dynamics
+
+    sys = fast_system(tilt_coeff=0.37, alkali_polarization=0.7)
+    omegas = line_center(sys) + np.array([-41.0, -9.5, -2.0, 0.0, 1.5, 7.0])
+    s3, pulse_efolds, dead_efolds = 0.6 - 0.3j, 0.5, 3.0
+    pulses = [pulse_efolds / (TWO_PI * hybrid_linewidth(sys, o - sys.omega_a))
+              for o in omegas.tolist()]
+    ramp = 0.3 * min(pulses)
+    dead = dead_efolds / (TWO_PI * sys.gamma_a)
+    expected = [evolve_exact(sys, [Segment(pulse, s3, omega, ramp),
+                                   Segment(dead)], (0j, 0j)).final_state[1]
+                for pulse, omega in zip(pulses, omegas.tolist())]
+    solve, solves = np.linalg.solve, []
+
+    def counted(a, b):
+        solves.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(dynamics, "_RUN_ENTRIES", substeps * omegas.size)
+    readouts = excite_and_readout(sys, omegas, s3_amplitude=s3,
+                                  pulse_efolds=pulse_efolds, ramp=ramp,
+                                  dead_efolds=dead_efolds)
+    assert readouts.tobytes() == np.array(expected).tobytes()
+    assert all(shape[1] * shape[-1] <= dynamics._RUN_ENTRIES
+               for shape in solves)
+    assert len(solves) == 2 * math.ceil(RAMP_SUBSTEPS / substeps) + 1
+
+
 def test_ramped_scan_solves_once_per_run_of_stretches(preset_bundle,
                                                       monkeypatch):
     # a ramped scan solves for its particular solutions once per edge and
-    # once for the flat top, whatever its grid: three solves, where one
-    # per substep made 129
+    # once for the flat top while the grid is narrow enough: three solves,
+    # where one per substep made 129
     from nobleline.config import scenario_with
     from nobleline.experiments import run_scenario
 

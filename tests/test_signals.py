@@ -428,8 +428,7 @@ def test_factor_matches_numpy_svd(problem):
     # V diag(s / (s^2 + alpha)) U^T f, at two Levenberg-Marquardt alphas
     J, f = problem()
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    block = np.asfortranarray(np.column_stack([J, f]))
-    R, qtf = signals._factor(block, *signals._qr_workspace(block))
+    R, qtf = signals._factor(np.asfortranarray(np.column_stack([J, f])))
     U_R, s_R, Vt_R = np.linalg.svd(R)
     assert np.allclose(s_R, s, rtol=1e-13, atol=1e-15 * s[0])
     for alpha in (1e-6 * s[0]**2, s[0]**2):
@@ -452,7 +451,7 @@ def test_factor_in_place_matches_numpy_qr_gufunc(rows, columns):
     _umath_linalg.qr_r_raw(copy, signature="d->d")
     want = np.zeros((columns - 1, columns))
     want[:rows] = np.triu(copy[:columns - 1])
-    R, qtf = signals._factor(block, *signals._qr_workspace(block))
+    R, qtf = signals._factor(block)
     assert block.tobytes() == copy.tobytes()
     assert R.tobytes() == want[:, :-1].tobytes()
     assert qtf.tobytes() == want[:, -1].tobytes()
